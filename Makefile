@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-nonumpy lint chaos bench-smoke bench docs telemetry-smoke shard-smoke recover-smoke epoch-smoke verify
+.PHONY: test test-nonumpy lint chaos bench-smoke bench docs telemetry-smoke shard-smoke recover-smoke verify
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -28,12 +28,11 @@ bench:
 	$(PYTHON) -m pytest benchmarks/ -q -s
 	PYTHONPATH=src:benchmarks $(PYTHON) benchmarks/bench_shard.py
 	PYTHONPATH=src:benchmarks $(PYTHON) benchmarks/bench_recovery.py
-	PYTHONPATH=src:benchmarks $(PYTHON) benchmarks/bench_epoch_delta.py
 
 # Sharded-service gate: the router/partition test suite plus a capped
 # run of the shard benchmark (1 and 4 shard columns, its own workload
 # fingerprint so the trend check skips it) proving byte-identical
-# responses and that retention still beats the single daemon.
+# responses across the columns.
 shard-smoke:
 	$(PYTHON) -m pytest tests/test_service_shard.py -q
 	REPRO_BENCH_SHARD_SMOKE=1 PYTHONPATH=src:benchmarks $(PYTHON) benchmarks/bench_shard.py
@@ -73,12 +72,4 @@ recover-smoke:
 	REPRO_BENCH_RECOVERY_SMOKE=1 PYTHONPATH=src:benchmarks $(PYTHON) benchmarks/bench_recovery.py
 	$(PYTHON) tools/journal_fsck.py --check benchmarks/results/recovery_journal
 
-# Epoch-delta gate: the delta-vs-replace equivalence/retention suite
-# plus a capped run of the epoch benchmark (its own workload
-# fingerprint so the trend check skips it) proving delta mode answers
-# byte-identically while strictly improving warm-hit rate and p99.
-epoch-smoke:
-	$(PYTHON) -m pytest tests/test_epoch_delta.py -q
-	REPRO_BENCH_EPOCH_SMOKE=1 PYTHONPATH=src:benchmarks $(PYTHON) benchmarks/bench_epoch_delta.py
-
-verify: test test-nonumpy chaos bench-smoke shard-smoke recover-smoke epoch-smoke telemetry-smoke docs
+verify: test test-nonumpy chaos bench-smoke shard-smoke recover-smoke telemetry-smoke docs

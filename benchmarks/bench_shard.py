@@ -1,4 +1,4 @@
-"""Sharded selection fleet vs today's single daemon (BENCH_shard.json).
+"""Sharded selection fleet vs the single daemon (BENCH_shard.json).
 
 The workload is the commit-interleaved hot-target pattern the shard
 router exists for: a universe of many TokenMagic batches, each with
@@ -6,23 +6,19 @@ its own ring history and a couple of popular targets, and a chain
 that keeps growing — every round commits one ring into one batch and
 then re-asks every hot target.
 
-Today's daemon (the 1-shard column: a partitioned
-:class:`~repro.service.daemon.SelectionService` with the stock
-whole-snapshot invalidation) rebuilds *all* warm state after every
-commit.  The router columns keep each shard's untouched batch slices
-— solver cache, module decomposition, result memo — warm across those
-commits, so each round re-solves exactly one batch and replays the
-rest.  On the single-core bench box that work-avoidance, not
-parallelism, is where the aggregate-throughput win comes from; the
-shard counts mostly show the routing/IPC overhead staying flat.
+The 1-shard column is the single daemon: a partitioned
+:class:`~repro.service.daemon.SelectionService`, which like every
+shard carries the untouched batches' warm state — solver cache,
+module decomposition, result memo — across each commit and advances
+only the touched batch.  Both sides therefore re-solve the same work
+per round; what the router columns add is that shards solve their
+batches in separate processes, in parallel on a multi-core host, at
+the price of IPC and a per-commit broadcast to every shard.  The
+headline speedup is that trade measured, not asserted: it may fall
+below 1 on a small profile or a single core.
 
-Claims asserted:
-
-* responses are byte-identical across every column (modulo execution
-  coordinates), including through all the commits;
-* aggregate throughput at REPRO_BENCH_SHARD_HEADLINE shards is
-  >= REPRO_BENCH_SHARD_MIN_SPEEDUP x the 1-shard column (default 3.0;
-  the smoke profile relaxes it).
+Claim asserted: responses are byte-identical across every column
+(modulo execution coordinates), including through all the commits.
 
 Writes ``benchmarks/results/BENCH_shard.json``: per-column throughput
 and request-latency quantiles, per-shard p99 via the PR-7 telemetry
@@ -64,11 +60,11 @@ C, ELL = 2.0, 2
 HEADLINE_SHARDS = int(
     os.environ.get("REPRO_BENCH_SHARD_HEADLINE", "4" if SMOKE else "8")
 )
-MIN_SPEEDUP = float(
-    os.environ.get("REPRO_BENCH_SHARD_MIN_SPEEDUP", "1.1" if SMOKE else "3.0")
-)
 
 WORKLOAD = {
+    # Names the 1-shard column: a daemon that carries untouched batches
+    # across commits.  Rows measured against another baseline do not compare.
+    "baseline": "retaining-daemon",
     "batches": BATCHES,
     "tokens_per_batch": TOKENS_PER_BATCH,
     "hts": HT_COUNT,
@@ -189,7 +185,6 @@ def main() -> int:
     columns, baselines = [], {}
     for shards in SHARD_COUNTS:
         if shards == 1:
-            # Today's daemon: single worker, whole-snapshot invalidation.
             service = SelectionService(
                 universe,
                 rings,
@@ -250,11 +245,6 @@ def main() -> int:
     }
     save_json("BENCH_shard.json", payload)
     save_text("BENCH_shard.txt", text)
-
-    assert speedup >= MIN_SPEEDUP, (
-        f"{headline_row['shards']}-shard throughput is only {speedup}x the "
-        f"single daemon (need >= {MIN_SPEEDUP}x)"
-    )
     print(
         f"headline: {headline_row['shards']} shards at "
         f"{headline_row['throughput_rps']} req/s = {speedup}x single"

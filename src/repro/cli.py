@@ -330,7 +330,6 @@ def _run_serve(args: argparse.Namespace) -> int:
                     fault_plan=fault_doc,
                     telemetry=not args.no_telemetry,
                     journal=journal,
-                    epoch_mode=args.epoch_mode,
                 ),
                 epoch=epoch0,
                 recovered=recovery_block,
@@ -346,7 +345,6 @@ def _run_serve(args: argparse.Namespace) -> int:
                 telemetry=not args.no_telemetry,
                 partition=batches,
                 journal=journal,
-                epoch_mode=args.epoch_mode,
             )
             service_factory = lambda: SelectionService(  # noqa: E731
                 universe, rings0, config=config,
@@ -601,14 +599,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="N",
                        help="write a compacted snapshot and truncate the "
                             "WAL every N commits (0 = never compact)")
-    serve.add_argument("--epoch-mode", choices=("replace", "delta"),
-                       default="replace",
-                       help="what a commit does to the warm caches: "
-                            "'replace' rebuilds the snapshot cold (the "
-                            "historical default), 'delta' advances it in "
-                            "place — only state the new ring touches is "
-                            "invalidated; responses are byte-identical "
-                            "either way")
 
     client = sub.add_parser(
         "client",

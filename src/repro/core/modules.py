@@ -158,17 +158,18 @@ class ModuleUniverse:
             ring.rid: subset_count(ring, self.rings) for ring in self.rings
         }
 
-    def extended(self, ring: Ring) -> tuple["ModuleUniverse", bool]:
+    def extended(self, ring: Ring) -> "ModuleUniverse | None":
         """This decomposition after appending ``ring`` to the history.
 
-        Returns ``(universe, incremental)``.  The result is exactly
-        ``ModuleUniverse(self.universe, self.rings + [ring])`` — the
-        second element only reports *how* it was built.
+        Returns exactly ``ModuleUniverse(self.universe, self.rings +
+        [ring])`` when that can be derived locally, else ``None``: the
+        caller drops the decomposition and rebuilds it on first use,
+        so a commit never pays for a rebuild no request may need.
 
-        The incremental path applies when ``ring`` is strictly newer
-        than everything here and obeys the first practical
-        configuration (superset-or-disjoint, Thm 6.1): then the
-        decomposition changes only locally —
+        The local path applies when ``ring`` is strictly newer than
+        everything here and obeys the first practical configuration
+        (superset-or-disjoint, Thm 6.1): then the decomposition changes
+        only locally —
 
         * ``ring`` becomes a super RS (nothing later exists), and the
           only rings that *lose* super status are its strict subsets;
@@ -178,11 +179,11 @@ class ModuleUniverse:
 
         Everything else — surviving :class:`Module` objects included —
         is shared with ``self``.  Any other ring (stale seq, a reused
-        rid, or a configuration-1 violation) falls back to a full
-        rebuild.  The rid guard matters: the incremental path keys
-        super-RS modules by ``s:{rid}``, so a duplicate rid would
-        silently alias the old super ring's module slot to the new
-        ring's tokens, while the rebuild keeps both rings distinct.
+        rid, or a configuration-1 violation) returns ``None``.  The rid
+        guard matters: the local path keys super-RS modules by
+        ``s:{rid}``, so a duplicate rid would silently alias the old
+        super ring's module slot to the new ring's tokens, while the
+        rebuild keeps both rings distinct.
         """
         max_seq = max((r.seq for r in self.rings), default=None)
         if (
@@ -190,7 +191,7 @@ class ModuleUniverse:
             or any(r.rid == ring.rid for r in self.rings)
             or not is_superset_or_disjoint(ring.tokens, self.rings)
         ):
-            return ModuleUniverse(self.universe, self.rings + [ring]), False
+            return None
 
         new = ModuleUniverse.__new__(ModuleUniverse)
         new.universe = self.universe
@@ -235,7 +236,7 @@ class ModuleUniverse:
             for r in self.rings
         }
         new._subset_counts[ring.rid] = subset_count(ring, new.rings)
-        return new, True
+        return new
 
     def module_of(self, token: str) -> Module:
         """The module containing ``token`` (Algorithm 4 line 1)."""

@@ -8,9 +8,8 @@ through a long-lived daemon instead of one-shot CLI invocations:
   responses, typed rejection/error codes);
 * :mod:`repro.service.state` — chain snapshot epochs and the per-epoch
   warm :class:`~repro.core.perf.cache.SolverCache` /
-  :class:`~repro.core.modules.ModuleUniverse`, advanced across commits
-  either cold (``replace``) or incrementally (``delta``,
-  :class:`EpochDelta`);
+  :class:`~repro.core.modules.ModuleUniverse`, advanced incrementally
+  across commits (:class:`EpochDelta`), plus commit admission;
 * :mod:`repro.service.batching` — bounded admission and epoch-aware
   micro-batching;
 * :mod:`repro.service.daemon` — :class:`SelectionService`, the worker
@@ -18,8 +17,8 @@ through a long-lived daemon instead of one-shot CLI invocations:
 * :mod:`repro.service.partition` — the TokenMagic batch partition as a
   deterministic service-level shard key;
 * :mod:`repro.service.router` — :class:`ShardRouter`, batch-keyed
-  routing of requests over shard worker processes, each keeping its
-  owned batches' warm caches across commits that touch other batches;
+  routing of requests over shard worker processes that solve their
+  owned batches in parallel;
 * :mod:`repro.service.server` / :mod:`repro.service.client` — stdio
   and unix-socket front-ends plus the matching client (both serve a
   single daemon or a shard router behind the same ops);
@@ -53,7 +52,13 @@ from .protocol import (
 )
 from .router import RouterConfig, ShardRouter
 from .server import serve_socket, serve_stdio
-from .state import EPOCH_MODES, ChainSnapshot, EpochDelta, ServiceState
+from .state import (
+    ChainSnapshot,
+    DuplicateRingId,
+    EpochDelta,
+    ReservedRingId,
+    ServiceState,
+)
 from .telemetry import ServiceTelemetry
 
 __all__ = [
@@ -67,7 +72,8 @@ __all__ = [
     "Batch",
     "ChainSnapshot",
     "EpochDelta",
-    "EPOCH_MODES",
+    "DuplicateRingId",
+    "ReservedRingId",
     "ServiceState",
     "ServiceConfig",
     "PendingResult",

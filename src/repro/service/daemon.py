@@ -72,7 +72,7 @@ from .protocol import (
     SelectResponse,
 )
 from .partition import TokenPartition
-from .state import ChainSnapshot, ServiceState
+from .state import ChainSnapshot, DuplicateRingId, ServiceState
 from .telemetry import ServiceTelemetry
 
 __all__ = [
@@ -120,13 +120,6 @@ class ServiceConfig:
             in-memory state mutates, so a crash at any point loses no
             acknowledged commit.  ``None`` (the default) keeps the
             purely in-memory behaviour.
-        epoch_mode: what a commit does to the warm caches —
-            ``"replace"`` (the default) rebuilds the snapshot cold;
-            ``"delta"`` advances it via
-            :meth:`~repro.service.state.ChainSnapshot.advance`, keeping
-            warm state for every component/batch the new ring does not
-            touch.  Responses are byte-identical in either mode; only
-            latency and the ``delta.*`` counters differ.
     """
 
     max_queue: int = 256
@@ -139,7 +132,6 @@ class ServiceConfig:
     clock: Clock | None = None
     partition: int | TokenPartition | None = None
     journal: Journal | None = None
-    epoch_mode: str = "replace"
 
 
 @dataclass(slots=True)
@@ -204,17 +196,7 @@ class SelectionService:
         #: The typed `recovered` block when this service was rebuilt
         #: from a journal replay (surfaced via stats/health/metrics).
         self.recovered: dict | None = dict(recovered) if recovered else None
-        # Serializes commits so WAL frame order always matches the
-        # order state mutations apply (commits arrive concurrently
-        # from independent socket connections).
-        self._commit_lock = threading.Lock()
-        self.state = ServiceState(
-            universe,
-            rings,
-            partition=partition,
-            epoch=epoch,
-            epoch_mode=self.config.epoch_mode,
-        )
+        self.state = ServiceState(universe, rings, partition=partition, epoch=epoch)
         self.queue: AdmissionQueue[PendingResult] = AdmissionQueue(
             max_depth=self.config.max_queue,
             max_batch=self.config.max_batch,
@@ -262,46 +244,19 @@ class SelectionService:
     def commit_ring(
         self, tokens: Sequence[str], c: float, ell: int, rid: str | None = None
     ) -> ChainSnapshot:
-        """Append an accepted ring; advances the epoch (cache invalidation).
+        """Append an accepted ring; advances the epoch.
 
-        Idempotent by ring id: recommitting a rid already on the chain
-        returns the current head unchanged — the dedup a retrying
-        client (resending across a daemon restart) relies on for
-        exactly-once semantics.  With a journal configured the commit
-        frame is appended (and fsynced, per policy) *before* the state
-        mutates — the write-ahead discipline recovery depends on.
+        Admission — rid dedup, the ``svc:<seq>`` id of an anonymous
+        commit, batch-locality, the write-ahead journal frame — is
+        :meth:`~repro.service.state.ServiceState.admit_commit`.
+        Recommitting a rid already on the chain returns the current
+        head unchanged (counted as ``commits.replayed``).
         """
-        with self._commit_lock:
-            head = self.state.current()
-            if rid is not None:
-                for existing in head.rings:
-                    if existing.rid == rid:
-                        self._bump("commits.replayed")
-                        return head
-            seq = 1 + max((ring.seq for ring in head.rings), default=-1)
-            ring = Ring(
-                rid=rid or f"svc:{seq}",
-                tokens=frozenset(tokens),
-                c=c,
-                ell=ell,
-                seq=seq,
-            )
-            if self.partition is not None:
-                # Validate batch-locality *before* journaling, so a
-                # doomed commit never lands a WAL frame.
-                self.partition.batch_of_ring(ring.tokens)
-            if self.journal is not None:
-                self.journal.append_commit(head.epoch + 1, ring)
-            snapshot = self.state.commit(ring)
-            if self.journal is not None:
-                self.journal.maybe_snapshot(
-                    snapshot.epoch,
-                    snapshot.universe,
-                    snapshot.rings,
-                    self.partition.batches if self.partition is not None else None,
-                )
-        if self.telemetry is not None:
-            self.telemetry.epoch_advanced(snapshot.epoch, len(snapshot.rings))
+        snapshot, ring = self.state.admit_commit(
+            tokens, c, ell, rid, journal=self.journal, telemetry=self.telemetry
+        )
+        if ring is None:
+            self._bump("commits.replayed")
         return snapshot
 
     @property
@@ -393,7 +348,6 @@ class SelectionService:
             "refused": self.queue.refused,
             "epochs_advanced": self.state.epochs_advanced,
             "caches_invalidated": self.state.caches_invalidated,
-            "epoch_mode": self.state.epoch_mode,
             "delta": dict(self.state.delta_counters),
             "counters": counters,
         }
@@ -431,8 +385,6 @@ class SelectionService:
                 max_queue=self.queue.max_depth,
                 draining=draining,
             )
-        payload["epoch_mode"] = self.state.epoch_mode
-        payload["delta_commits"] = self.state.delta_counters["commits"]
         if self.recovered is not None:
             payload["recovered"] = dict(self.recovered)
         return payload
@@ -658,8 +610,8 @@ class SelectionService:
                 # the first solve's answer (pure function of both), with
                 # this request's own identity and batch coordinates.
                 # The epoch is re-stamped because a retained batch memo
-                # can outlive the epoch it was stored under (shard
-                # workers carry untouched batches across commits).
+                # can outlive the epoch it was stored under (commits
+                # carry untouched batches across epochs).
                 self._bump("memo.hits")
                 if events.enabled():
                     events.emit(events.MemoServed(mode=request.mode))
@@ -773,8 +725,8 @@ class SelectionService:
 # whole micro-batches (plus commits and stats/metrics/health probes)
 # through `_shard_call`, and the worker serves them synchronously via
 # `SelectionService.execute_requests`.  The worker's ServiceState is
-# partitioned, and its commits retain the untouched batches' warm
-# state — the per-shard cache slice the router exists to keep warm.
+# partitioned, so a commit advances only the touched batch's warm state
+# and carries every other batch's slice unchanged.
 #
 # Pool workers that die are respawned by the pool with the *original*
 # initargs, so a respawned worker is silently back at the initial
@@ -844,7 +796,6 @@ def _shard_sync(service: SelectionService, sync: Mapping) -> SelectionService:
         tuple(sync["rings"]),
         partition=service.partition,
         epoch=int(sync["epoch"]),
-        epoch_mode=service.state.epoch_mode,
     )
     return service
 
@@ -877,13 +828,14 @@ def _shard_call(payload: Mapping):
         )
     if op == "commit":
         ring: Ring = payload["ring"]
-        head = service.state.current()
-        if any(existing.rid == ring.rid for existing in head.rings):
+        try:
+            snapshot = service.state.commit(ring)
+        except DuplicateRingId:
             # A retried commit the worker already applied: idempotent.
-            return {"epoch": head.epoch, "rings": len(head.rings)}
-        snapshot = service.state.commit(ring, retain_untouched=True)
-        if service.telemetry is not None:
-            service.telemetry.epoch_advanced(snapshot.epoch, len(snapshot.rings))
+            snapshot = service.state.current()
+        else:
+            if service.telemetry is not None:
+                service.telemetry.epoch_advanced(snapshot.epoch, len(snapshot.rings))
         return {"epoch": snapshot.epoch, "rings": len(snapshot.rings)}
     if op == "stats":
         stats = service.stats()

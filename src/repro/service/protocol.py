@@ -11,7 +11,7 @@ Ops (the closed vocabulary of :data:`KNOWN_OPS`):
 ``select``    run one mixin selection (the payload of
               :class:`SelectRequest`)
 ``commit``    append an accepted ring to the chain snapshot — advances the
-              epoch and invalidates warm caches
+              epoch and invalidates the warm state the ring reaches
 ``epoch``     report the current epoch / ring count / queue depth
 ``stats``     dump the service counters, telemetry histograms/gauges and
               resilience counters

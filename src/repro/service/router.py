@@ -7,12 +7,16 @@ exploits that: ``batch_of(target)`` is the shard key, each shard is a
 forked worker process running a partitioned
 :class:`~repro.service.daemon.SelectionService` (without its worker
 thread), and every shard keeps the warm ``SolverCache`` /
-``ModuleUniverse`` / result-memo slices of the batches it owns **across
-commits that touch other batches** — the retention rule of
-:meth:`repro.service.state.ServiceState.commit`.  On a
-commit-interleaved hot-target workload that is the throughput win: the
-single daemon rebuilds its whole warm state at every epoch, the fleet
-rebuilds exactly one batch slice.
+``ModuleUniverse`` / result-memo slices of the batches it owns across
+commits — the retention rule of
+:meth:`repro.service.state.ServiceState.commit`, which the single
+partitioned daemon applies too.  What the fleet adds is parallelism:
+shards solve their batches' cold requests on separate cores at once.
+``benchmarks/bench_shard.py`` measures it against the single
+partitioned daemon (see ``docs/performance.md``): a win on a
+multi-core host under a commit-interleaved load with enough cold
+solving per round, a loss where IPC and per-commit broadcasts
+dominate.
 
 Routing and equivalence
 -----------------------
@@ -134,12 +138,6 @@ class RouterConfig:
             same write-ahead discipline as the single daemon; workers
             never touch the journal (they are rebuilt from the mirror
             on respawn/sync).
-        epoch_mode: the shard workers' commit behaviour — ``"replace"``
-            keeps PR-8 semantics (the touched batch starts cold,
-            untouched batches carry over); ``"delta"`` additionally
-            delta-advances the *touched* batch's warm state
-            (:meth:`~repro.service.state.ChainSnapshot.advance`).
-            Responses are byte-identical in either mode.
     """
 
     shards: int = 2
@@ -156,7 +154,6 @@ class RouterConfig:
         default_factory=lambda: RetryPolicy(max_retries=2, hang_timeout=120.0)
     )
     journal: Journal | None = None
-    epoch_mode: str = "replace"
 
 
 class _Shard:
@@ -212,17 +209,10 @@ class ShardRouter:
         self.shards = min(self.config.shards, self.partition.batches)
         self.journal = self.config.journal
         self.recovered: dict | None = dict(recovered) if recovered else None
-        self._commit_lock = threading.Lock()
         # The router's own chain mirror: source of truth for epoch,
-        # ring log (sync payloads) and commit validation.  Its caches
+        # ring log (sync payloads) and commit admission.  Its caches
         # are never built — solving happens in the workers.
-        self.state = ServiceState(
-            universe,
-            rings,
-            partition=self.partition,
-            epoch=epoch,
-            epoch_mode=self.config.epoch_mode,
-        )
+        self.state = ServiceState(universe, rings, partition=self.partition, epoch=epoch)
         self._universe = universe
         self._rings0 = tuple(rings)
         self._epoch0 = epoch
@@ -265,7 +255,6 @@ class ShardRouter:
             default_budget=self.config.default_budget,
             workers=self.config.workers,
             telemetry=self.config.telemetry,
-            epoch_mode=self.config.epoch_mode,
         )
         fault_doc = (
             None if self.config.fault_plan is None else dict(self.config.fault_plan)
@@ -328,54 +317,28 @@ class ShardRouter:
     ) -> ChainSnapshot:
         """Append an accepted ring and broadcast it to every shard.
 
-        The router's mirror commits first (same ``svc:<seq>`` rid rule
-        and batch-locality validation as the single daemon — a
-        spanning ring raises ``ValueError`` before any worker hears of
-        it), then each shard applies the ring with
-        ``retain_untouched=True``: only the worker owning the touched
-        batch drops warm state, every other slice carries over.  Shard
-        application is idempotent by ring id, so supervised retries of
-        the broadcast are safe; a shard lost mid-broadcast catches up
-        through the epoch guard of its next dispatch.
-
-        Idempotent by ring id at the router too: recommitting a rid
-        already in the mirror returns the current head unchanged (the
-        client-retry dedup).  With a journal configured, the frame is
-        appended before the mirror mutates — the same write-ahead
-        discipline as the single daemon.
+        The router's mirror admits the commit first through
+        :meth:`~repro.service.state.ServiceState.admit_commit` — the
+        same rid rules, batch-locality validation and write-ahead
+        journaling as the single daemon, so a spanning ring raises
+        ``ValueError`` before any worker hears of it, and a rid already
+        in the mirror returns the current head unchanged (the
+        client-retry dedup).  Then each shard applies the ring: only the
+        worker owning the touched batch changes warm state, every other
+        slice carries over.  Shard application is idempotent by ring
+        id, so supervised retries of the broadcast are safe; a shard
+        lost mid-broadcast catches up through the epoch guard of its
+        next dispatch.
         """
-        with self._commit_lock:
-            old = self.state.current()
-            if rid is not None:
-                for existing in old.rings:
-                    if existing.rid == rid:
-                        self._bump("commits.replayed")
-                        return old
-            seq = 1 + max((ring.seq for ring in old.rings), default=-1)
-            ring = Ring(
-                rid=rid or f"svc:{seq}",
-                tokens=frozenset(tokens),
-                c=c,
-                ell=ell,
-                seq=seq,
-            )
-            # Validate batch-locality before journaling, so a doomed
-            # commit never lands a WAL frame.
-            self.partition.batch_of_ring(ring.tokens)
-            if self.journal is not None:
-                self.journal.append_commit(old.epoch + 1, ring)
-            snapshot = self.state.commit(ring)
-            if self.journal is not None:
-                self.journal.maybe_snapshot(
-                    snapshot.epoch,
-                    snapshot.universe,
-                    snapshot.rings,
-                    self.partition.batches,
-                )
-        if self.telemetry is not None:
-            self.telemetry.epoch_advanced(snapshot.epoch, len(snapshot.rings))
-        payload = {"op": "commit", "epoch": old.epoch, "ring": ring}
-        sync = {"rings": old.rings, "epoch": old.epoch}
+        snapshot, ring = self.state.admit_commit(
+            tokens, c, ell, rid, journal=self.journal, telemetry=self.telemetry
+        )
+        if ring is None:
+            self._bump("commits.replayed")
+            return snapshot
+        epoch = snapshot.epoch - 1
+        payload = {"op": "commit", "epoch": epoch, "ring": ring}
+        sync = {"rings": snapshot.rings[:-1], "epoch": epoch}
         for shard in self._shards:
             try:
                 self._call(shard, payload, sync=sync)
@@ -599,18 +562,11 @@ class ShardRouter:
         }
 
     def _aggregate_delta(self, rows: list) -> dict:
-        """Fleet-wide ``delta.*`` counters.
-
-        ``commits`` comes from the router's mirror (every shard applies
-        every broadcast commit, so summing the per-shard count would
-        multiply it by the fleet size); the retention/invalidation
-        counters are genuine per-shard work and are summed.
-        """
+        """Fleet-wide ``delta.*`` counters: the shards' retention work, summed."""
         total = dict(self.state.delta_counters)
         for row in rows:
             for name, value in row.get("delta", {}).items():
-                if name != "commits":
-                    total[name] = total.get(name, 0) + int(value)
+                total[name] = total.get(name, 0) + int(value)
         return total
 
     def stats(self) -> dict:
@@ -639,7 +595,6 @@ class ShardRouter:
             "caches_invalidated": sum(
                 row.get("caches_invalidated", 0) for row in rows
             ),
-            "epoch_mode": self.state.epoch_mode,
             "delta": self._aggregate_delta(rows),
             "counters": counters,
             "shards": rows,
@@ -695,8 +650,6 @@ class ShardRouter:
                 rows.append(raw)
                 if raw.get("health") == "degraded":
                     payload["reasons"].append(f"shard {shard.index} degraded")
-        payload["epoch_mode"] = self.state.epoch_mode
-        payload["delta_commits"] = self.state.delta_counters["commits"]
         payload["shards"] = rows
         if self.recovered is not None:
             payload["recovered"] = dict(self.recovered)

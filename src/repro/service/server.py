@@ -77,7 +77,7 @@ def handle_line(service, line: str) -> tuple[str, bool]:
                 tokens=[str(token) for token in payload["tokens"]],
                 c=float(payload["c"]),
                 ell=int(payload["ell"]),
-                rid=payload.get("rid"),
+                rid=None if payload.get("rid") is None else str(payload["rid"]),
             )
             return encode(
                 {

@@ -11,35 +11,34 @@ denominations).  All three hold pure derived data — sharing them can
 change only *when* the work happens, never what any request selects.
 
 A snapshot is immutable.  When the chain grows (a ``commit`` op), the
-service builds a *new* snapshot with the epoch incremented; requests
+service derives a *new* snapshot with the epoch incremented; requests
 pinned to an older epoch are rejected with ``stale_epoch`` rather than
-silently answered against history they did not ask about.  How much of
-the old snapshot's warm state the new one inherits is the service's
-``epoch_mode``:
-
-* ``replace`` (the historical default): the old snapshot's caches
-  become garbage with it — invalidation is whole-snapshot replacement,
-  which is trivially deterministic.
-* ``delta``: the commit is applied as an :class:`EpochDelta` via
-  :meth:`ChainSnapshot.advance` — the solver cache is advanced
-  component-wise, the module decomposition is extended locally under
-  Thm 6.1's superset-or-disjoint rule, and only state the new ring can
-  actually reach is invalidated.  Byte-identical responses to
-  ``replace`` (the caches hold pure derived data), but warm across
-  commits.
+silently answered against history they did not ask about.  There is
+one way to derive it: the commit is applied as an :class:`EpochDelta`
+via :meth:`ChainSnapshot.advance` — the solver cache is advanced
+component-wise, the module decomposition is extended locally under
+Thm 6.1's superset-or-disjoint rule (or dropped, to be rebuilt on
+first use, when the rule does not apply), and only state the new ring
+can actually reach is invalidated.  Answers are byte-identical to a
+cold rebuild at the same chain (the caches hold pure derived data);
+``tests/test_epoch_delta.py`` holds the live service to a from-scratch
+:class:`SelectionService <repro.service.daemon.SelectionService>`
+oracle.
 
 With a :class:`~repro.service.partition.TokenPartition` installed the
 snapshot additionally holds one lazily built *sub-snapshot per batch*
 (the batch's disjoint universe, its batch-local ring history, and that
 slice's own warm cache/modules/memo).  Because batches are disjoint, a
-commit touches exactly one batch, and a ``commit(retain_untouched=True)``
-carries every *other* batch's sub-snapshot — warm state included —
-into the new epoch unchanged: the (universe, rings) pair those batches
-solve against did not move, so everything derived from it is still
-exact.  The single-worker daemon keeps the whole-snapshot invalidation
-above (every commit starts cold); the shard workers of
-:mod:`repro.service.router` use the retaining form, which is where the
-sharded throughput win comes from on a commit-interleaved workload.
+commit touches exactly one batch: every *other* batch's sub-snapshot
+— warm state and memo included — is carried into the new epoch
+unchanged, since the (universe, rings) pair it solves against did not
+move, and the touched batch's sub-snapshot is advanced like an
+unpartitioned one.
+
+:meth:`ServiceState.admit_commit` is the one admission path for a
+commit *request* (rid dedup, sequence numbering, write-ahead
+journaling); :meth:`ServiceState.commit` is the state transition
+alone.
 """
 
 from __future__ import annotations
@@ -53,11 +52,31 @@ from ..core.perf.cache import SolverCache
 from ..core.problem import DamsInstance
 from ..core.ring import Ring, TokenUniverse
 from ..obs import events
+from .journal import Journal
 from .partition import TokenPartition
+from .telemetry import ServiceTelemetry
 
-__all__ = ["ChainSnapshot", "EpochDelta", "ServiceState", "EPOCH_MODES"]
+__all__ = [
+    "AUTO_RID_PREFIX",
+    "ChainSnapshot",
+    "DuplicateRingId",
+    "EpochDelta",
+    "ReservedRingId",
+    "ServiceState",
+]
 
-EPOCH_MODES = ("replace", "delta")
+#: Ring ids the service assigns to anonymous commits (``svc:<seq>``).
+#: Clients may not name rings with it, so an assigned id can never
+#: collide with (or be shadowed by) one a client chose.
+AUTO_RID_PREFIX = "svc:"
+
+
+class DuplicateRingId(ValueError):
+    """A ring id is already on the chain."""
+
+
+class ReservedRingId(ValueError):
+    """A commit request named its ring with :data:`AUTO_RID_PREFIX`."""
 
 
 @dataclass(slots=True)
@@ -172,21 +191,19 @@ class ChainSnapshot:
     def advance(self, delta: EpochDelta) -> "ChainSnapshot":
         """The next epoch's snapshot, keeping warm state the ring misses.
 
-        The replace-mode commit builds a cold snapshot and lets this
-        one's caches die with it.  ``advance`` instead carries every
-        derived structure the new ring provably cannot affect:
+        Every derived structure the new ring provably cannot affect is
+        carried over:
 
         * the :class:`SolverCache` is advanced component-wise
           (:meth:`SolverCache.advance`) — world sets and kernel states
           of token-overlap components the ring does not touch survive;
         * the :class:`ModuleUniverse` is extended locally under the
           superset-or-disjoint rule (:meth:`ModuleUniverse.extended`,
-          Thm 6.1), falling back to a rebuild when the ring violates
-          configuration 1;
+          Thm 6.1); when the rule does not apply it is dropped and
+          rebuilt on first use, never inside the commit;
         * partitioned, untouched batch sub-snapshots are carried whole
-          (universe and rings unchanged — same argument as
-          ``commit(retain_untouched=True)``) and the *touched* batch's
-          sub-snapshot is itself advanced rather than dropped;
+          (their universe and rings did not move) and the *touched*
+          batch's sub-snapshot is itself advanced;
         * the result memo of any snapshot that gained a ring is cleared:
           a selection is a function of the whole (sub-)history, and the
           new ring may legally change the chosen ring even for targets
@@ -195,8 +212,8 @@ class ChainSnapshot:
 
         ``self`` is left untouched; in-flight batches pinned to it keep
         serving against the old epoch.  The result is byte-identical in
-        behavior to a cold rebuild — pinned by the delta-vs-replace
-        equivalence tests.
+        behavior to a cold rebuild — pinned by the cold-rebuild oracle
+        tests in ``tests/test_epoch_delta.py``.
         """
         if self.partition is None:
             return self._advance_flat(delta, self.epoch + 1)
@@ -229,11 +246,11 @@ class ChainSnapshot:
                 delta.kernel_retained += report.kernel_retained
                 delta.kernel_invalidated += report.kernel_invalidated
             if self._modules is not None:
-                head._modules, incremental = self._modules.extended(ring)
-                if incremental:
-                    delta.modules_extended += 1
-                else:
+                head._modules = self._modules.extended(ring)
+                if head._modules is None:
                     delta.modules_rebuilt += 1
+                else:
+                    delta.modules_extended += 1
             delta.memo_dropped += len(self._memo)
         return head
 
@@ -243,9 +260,9 @@ class ChainSnapshot:
         Selections are pure functions of (snapshot, solve parameters),
         so two identical requests against one snapshot must produce
         identical answers — the daemon stores the first and replays it
-        for the rest.  The memo dies with the snapshot at the next
-        epoch, exactly like the solver cache; only the single worker
-        thread mutates it.
+        for the rest.  The memo is never carried into a snapshot that
+        gained a ring (only untouched batch sub-snapshots keep theirs);
+        only the single worker thread mutates it.
         """
         return self._memo
 
@@ -254,8 +271,11 @@ class ServiceState:
     """The mutable head: which snapshot is current.
 
     Thread-safe; the front-ends (socket connections, the stdio loop)
-    call :meth:`commit` / :meth:`current` concurrently with the worker
-    thread reading :meth:`current` at batch-execution time.
+    call :meth:`admit_commit` / :meth:`current` concurrently with the
+    worker thread reading :meth:`current` at batch-execution time.
+    The ring ids on the chain and the next proposal sequence number are
+    kept alongside the head, so admitting a commit costs the same at
+    any chain length.
     """
 
     def __init__(
@@ -264,13 +284,12 @@ class ServiceState:
         rings: Sequence[Ring] = (),
         partition: TokenPartition | None = None,
         epoch: int = 0,
-        epoch_mode: str = "replace",
     ) -> None:
-        if epoch_mode not in EPOCH_MODES:
-            raise ValueError(
-                f"epoch_mode must be one of {EPOCH_MODES}, got {epoch_mode!r}"
-            )
         self._lock = threading.Lock()
+        # Serializes admissions so WAL frame order always matches the
+        # order state mutations apply (commits arrive concurrently from
+        # independent socket connections).
+        self._commit_lock = threading.Lock()
         rings = tuple(rings)
         if partition is not None:
             for ring in rings:
@@ -278,11 +297,11 @@ class ServiceState:
         self._head = ChainSnapshot(
             epoch=epoch, universe=universe, rings=rings, partition=partition
         )
-        self.epoch_mode = epoch_mode
+        self._rids = {ring.rid for ring in rings}
+        self._next_seq = 1 + max((ring.seq for ring in rings), default=-1)
         self.epochs_advanced = 0
         self.caches_invalidated = 0
         self.delta_counters: dict[str, int] = {
-            "commits": 0,
             "worlds_retained": 0,
             "worlds_invalidated": 0,
             "kernel_retained": 0,
@@ -302,84 +321,107 @@ class ServiceState:
     def epoch(self) -> int:
         return self.current().epoch
 
-    def commit(self, ring: Ring, retain_untouched: bool = False) -> ChainSnapshot:
+    def commit(self, ring: Ring) -> ChainSnapshot:
         """Append an accepted ring; returns the new head snapshot.
 
-        In ``replace`` mode (the default) the new snapshot starts cold
-        (its caches rebuild on first use); the previous epoch's warm
-        state is dropped with the snapshot — that is the deterministic
-        invalidation the epoch counter makes observable.
-
-        In ``delta`` mode the commit routes through
-        :meth:`ChainSnapshot.advance`: warm worlds, kernel states and
+        The one epoch transition: the head is advanced through
+        :meth:`ChainSnapshot.advance`, so warm worlds, kernel states and
         module decompositions survive for every component/batch the
         ring does not touch, and the per-commit retention report is
-        accumulated into :attr:`delta_counters`.  ``retain_untouched``
-        is subsumed (delta mode always carries untouched batches).
-
-        With ``retain_untouched`` (partitioned states only — shard
-        workers use it) the commit carries every batch sub-snapshot the
-        ring does *not* touch into the new epoch, warm state included:
-        those batches' (universe, rings) pairs are unchanged, so every
-        derived structure — solver cache, module decomposition, result
-        memo — is still exact.  Only the touched batch starts cold.
+        accumulated into :attr:`delta_counters`.  No journal I/O
+        happens here — :meth:`admit_commit` owns that.
 
         Raises:
-            ValueError: duplicate ring id, or (partitioned) a ring that
-                spans batches / names unknown tokens.
+            DuplicateRingId: ``ring.rid`` is already on the chain.
+            ValueError: (partitioned) a ring that spans batches / names
+                unknown tokens.
         """
         with self._lock:
             old = self._head
-            if any(existing.rid == ring.rid for existing in old.rings):
-                raise ValueError(f"duplicate ring id {ring.rid!r} in commit")
+            if ring.rid in self._rids:
+                raise DuplicateRingId(f"duplicate ring id {ring.rid!r} in commit")
             touched = None
             if old.partition is not None:
                 touched = old.partition.batch_of_ring(ring.tokens)
-            if self.epoch_mode == "delta":
-                delta = EpochDelta(ring=ring, touched_batch=touched)
-                head = old.advance(delta)
-                self._head = head
-                self.epochs_advanced += 1
-                self.delta_counters["commits"] += 1
-                for name, value in delta.as_counters().items():
-                    self.delta_counters[name] += value
-                # Keep the replace-mode meaning ("warm solver state was
-                # dropped"): memo drops happen on every delta commit and
-                # would turn this into a commit counter; they are already
-                # visible as delta.memo_dropped.
-                if (
-                    delta.worlds_invalidated
-                    or delta.kernel_invalidated
-                    or delta.modules_rebuilt
-                ):
-                    self.caches_invalidated += 1
-            else:
-                head = ChainSnapshot(
-                    epoch=old.epoch + 1,
-                    universe=old.universe,
-                    rings=old.rings + (ring,),
-                    partition=old.partition,
-                )
-                dropped_warm = old.cache_built
-                if retain_untouched and touched is not None:
-                    with old._lock:
-                        carried = {
-                            batch: sub
-                            for batch, sub in old._parts.items()
-                            if batch != touched
-                        }
-                        dropped = old._parts.get(touched)
-                    head._parts.update(carried)
-                    dropped_warm = dropped is not None and dropped.cache_built
-                self._head = head
-                self.epochs_advanced += 1
-                if dropped_warm:
-                    self.caches_invalidated += 1
+            delta = EpochDelta(ring=ring, touched_batch=touched)
+            head = old.advance(delta)
+            self._head = head
+            self._rids.add(ring.rid)
+            self._next_seq = max(self._next_seq, ring.seq + 1)
+            self.epochs_advanced += 1
+            for name, value in delta.as_counters().items():
+                self.delta_counters[name] += value
+            # Dropped warm *solver* state only: every commit drops the
+            # memo of what it touched, which delta.memo_dropped counts.
+            if delta.worlds_invalidated or delta.kernel_invalidated or delta.modules_rebuilt:
+                self.caches_invalidated += 1
         if events.enabled():
             events.emit(events.EpochAdvanced(epoch=head.epoch, rings=len(head.rings)))
         return head
 
-    def next_seq(self) -> int:
-        """The proposal sequence number a newly committed ring should use."""
-        head = self.current()
-        return 1 + max((ring.seq for ring in head.rings), default=-1)
+    def admit_commit(
+        self,
+        tokens: Sequence[str],
+        c: float,
+        ell: int,
+        rid: str | None = None,
+        *,
+        journal: Journal | None = None,
+        telemetry: ServiceTelemetry | None = None,
+    ) -> tuple[ChainSnapshot, Ring | None]:
+        """Admit one commit request: the only way a ``commit`` op grows the chain.
+
+        Builds the :class:`Ring` (an anonymous request gets
+        ``svc:<seq>``), checks its id and batch-locality, journals it,
+        applies it with :meth:`commit`, compacts the journal when due
+        and marks the epoch advance in ``telemetry``.  Every check runs
+        *before* the write-ahead frame lands, so a rejected commit never
+        reaches the journal — the discipline recovery depends on.
+
+        Idempotent by ring id: a ``rid`` already on the chain returns
+        ``(head, None)`` with the head unchanged — the dedup a retrying
+        client (resending across a daemon restart) relies on for
+        exactly-once semantics.  Otherwise returns ``(head, ring)``.
+
+        Raises:
+            ReservedRingId: ``rid`` starts with :data:`AUTO_RID_PREFIX`.
+            DuplicateRingId: the assigned ``svc:<seq>`` id is already on
+                the chain (an initial history named a ring that way).
+            ValueError: an empty ring, invalid (c, l), or (partitioned)
+                a ring that spans batches / names unknown tokens.
+        """
+        if rid and rid.startswith(AUTO_RID_PREFIX):
+            raise ReservedRingId(
+                f"ring id {rid!r} uses the prefix {AUTO_RID_PREFIX!r}, which "
+                f"is reserved for ids the service assigns"
+            )
+        with self._commit_lock:
+            if rid and rid in self._rids:
+                return self.current(), None
+            seq = self._next_seq
+            ring = Ring(
+                rid=rid or f"{AUTO_RID_PREFIX}{seq}",
+                tokens=frozenset(tokens),
+                c=c,
+                ell=ell,
+                seq=seq,
+            )
+            if ring.rid in self._rids:
+                raise DuplicateRingId(f"duplicate ring id {ring.rid!r} in commit")
+            head = self.current()
+            partition = head.partition
+            if partition is not None:
+                partition.batch_of_ring(ring.tokens)
+            if journal is not None:
+                journal.append_commit(head.epoch + 1, ring)
+            head = self.commit(ring)
+            if journal is not None:
+                journal.maybe_snapshot(
+                    head.epoch,
+                    head.universe,
+                    head.rings,
+                    None if partition is None else partition.batches,
+                )
+        if telemetry is not None:
+            telemetry.epoch_advanced(head.epoch, len(head.rings))
+        return head, ring

@@ -1,22 +1,23 @@
-"""Delta-mode epoch advance: warm across commits, byte-identical answers.
+"""Epoch advance: warm across commits, byte-identical answers.
 
 Three layers of pinning, mirroring the implementation layers:
 
 * the incremental core structures equal their from-scratch rebuilds on
   randomized histories — :meth:`ModuleUniverse.extended` (Thm 6.1's
-  superset-or-disjoint locality, with a rebuild fallback for
-  configuration-1 violations) and :meth:`SolverCache.advance`
+  superset-or-disjoint locality; ``None``, i.e. rebuild on first use,
+  for configuration-1 violations) and :meth:`SolverCache.advance`
   (component-wise invalidation: entries keyed off components the new
   ring does not reach survive, object-identical);
 * :meth:`ChainSnapshot.advance` carries warm state and drops exactly
   what a commit can affect (the memo always; untouched batch
   sub-snapshots never), leaving the old snapshot untouched for
   in-flight batches;
-* a live ``epoch_mode="delta"`` :class:`SelectionService` answers a
+* a live :class:`SelectionService` answers every select of a
   randomized commit/request interleaving byte-identically (modulo
-  execution coordinates) to the default ``replace`` service, both
+  execution coordinates) to a cold :class:`SelectionService` built
+  from scratch at the same chain — the sequential oracle — both
   unpartitioned and partitioned, while surfacing ``delta.*`` retention
-  counters through ``stats``/``health``/``metrics``.
+  counters through ``stats``/``metrics``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from repro.core.perf.cache import SolverCache
 from repro.core.perf.kernels import resolve_backend
 from repro.core.ring import Ring, TokenUniverse
 from repro.service import (
-    EPOCH_MODES,
+    ChainSnapshot,
     EpochDelta,
     SelectionService,
     SelectRequest,
@@ -103,7 +104,7 @@ def universe_fingerprint(modules: ModuleUniverse) -> dict:
 def test_extended_matches_rebuild_randomized():
     universe = make_universe()
     tokens = sorted(universe.tokens)
-    incremental_seen = rebuilt_seen = 0
+    incremental_seen = dropped_seen = 0
     for trial in range(120):
         rng = random.Random(1000 + trial)
         rings = random_history(rng, tokens, rng.randint(0, 6))
@@ -115,19 +116,22 @@ def test_extended_matches_rebuild_randomized():
             ell=ELL,
             seq=len(rings),
         )
-        extended, incremental = base.extended(ring)
+        extended = base.extended(ring)
+        # The ring is the newest and its rid is fresh, so only a
+        # configuration-1 violation may refuse the local path.
+        assert (extended is None) == (
+            not is_superset_or_disjoint(ring.tokens, rings)
+        ), f"trial {trial}"
+        if extended is None:
+            dropped_seen += 1
+            continue
+        incremental_seen += 1
         rebuilt = ModuleUniverse(universe, rings + [ring])
         assert universe_fingerprint(extended) == universe_fingerprint(rebuilt), (
-            f"trial {trial}: extended decomposition diverged "
-            f"(incremental={incremental})"
+            f"trial {trial}: extended decomposition diverged"
         )
-        if incremental:
-            incremental_seen += 1
-            assert is_superset_or_disjoint(ring.tokens, rings)
-        else:
-            rebuilt_seen += 1
     # The bias must actually exercise both paths.
-    assert incremental_seen > 20 and rebuilt_seen > 10
+    assert incremental_seen > 20 and dropped_seen > 10
 
 
 def test_extended_falls_back_on_stale_seq():
@@ -138,11 +142,7 @@ def test_extended_falls_back_on_stale_seq():
     # Disjoint (config 1 holds) but not newer than the history: the
     # Def 7 locality argument needs the ring to be later than everything.
     stale = Ring("new", frozenset(tokens[4:7]), c=C, ell=ELL, seq=5)
-    extended, incremental = base.extended(stale)
-    assert not incremental
-    assert universe_fingerprint(extended) == universe_fingerprint(
-        ModuleUniverse(universe, rings + [stale])
-    )
+    assert base.extended(stale) is None
 
 
 def test_extended_falls_back_on_duplicate_rid():
@@ -157,11 +157,16 @@ def test_extended_falls_back_on_duplicate_rid():
     # RS's rid: the incremental path keys super-RS modules by "s:<rid>",
     # so taking it would alias r1's module slot to the new ring's tokens.
     dup = Ring("r1", frozenset(tokens[8:10]), c=C, ell=ELL, seq=2)
-    extended, incremental = base.extended(dup)
-    assert not incremental
-    # The surviving super ring keeps its own tokens.
-    assert extended.module_of(tokens[4]).tokens == frozenset(tokens[4:6])
-    assert extended.module_of(tokens[8]).tokens == frozenset(tokens[8:10])
+    assert base.extended(dup) is None
+    # A snapshot advanced past it drops the decomposition; the rebuild
+    # on first use keeps the surviving super ring on its own tokens.
+    snap = ChainSnapshot(epoch=0, universe=universe, rings=tuple(rings))
+    snap._modules = base
+    delta = EpochDelta(ring=dup)
+    modules = snap.advance(delta).module_universe()
+    assert delta.modules_rebuilt == 1 and delta.modules_extended == 0
+    assert modules.module_of(tokens[4]).tokens == frozenset(tokens[4:6])
+    assert modules.module_of(tokens[8]).tokens == frozenset(tokens[8:10])
 
 
 def test_extended_shares_surviving_modules():
@@ -173,8 +178,8 @@ def test_extended_shares_surviving_modules():
     ]
     base = ModuleUniverse(universe, rings)
     ring = Ring("new", frozenset(tokens[0:4]), c=C, ell=ELL, seq=2)
-    extended, incremental = base.extended(ring)
-    assert incremental
+    extended = base.extended(ring)
+    assert extended is not None
     # r1 is untouched: its Module object (not just its content) survives.
     assert extended.module_of(tokens[4]) is base.module_of(tokens[4])
     # r0 was swallowed by the superset: its tokens move to the new super.
@@ -347,7 +352,7 @@ def test_snapshot_advance_unpartitioned():
         Ring("a", frozenset(tokens[0:3]), c=C, ell=ELL, seq=0),
         Ring("b", frozenset(tokens[4:7]), c=C, ell=ELL, seq=1),
     )
-    state = ServiceState(universe, rings, epoch_mode="delta")
+    state = ServiceState(universe, rings)
     snap = state.current()
     cache = snap.solver_cache()
     cache.base_worlds(cache.related_key([tokens[0]]))
@@ -368,7 +373,7 @@ def test_snapshot_advance_unpartitioned():
     assert snap.result_memo() == {"memo-key": "memo-value"}
     assert snap.solver_cache() is cache
     counters = state.delta_counters
-    assert counters["commits"] == 1
+    assert state.epochs_advanced == 1
     assert counters["worlds_retained"] == 1
     assert counters["worlds_invalidated"] == 1
     assert counters["modules_extended"] + counters["modules_rebuilt"] == 1
@@ -377,17 +382,17 @@ def test_snapshot_advance_unpartitioned():
 
 
 def test_delta_memo_only_commit_is_not_a_cache_invalidation():
-    """caches_invalidated keeps its replace-mode meaning in delta mode.
+    """caches_invalidated counts commits that dropped warm solver state.
 
     The request memo dies on *every* commit (a selection is a function
     of the whole history), so counting memo drops would turn the
     counter into a commit counter.  Only dropped warm solver state —
-    worlds, kernel states, a module rebuild — counts.
+    worlds, kernel states, a dropped module decomposition — counts.
     """
     universe = make_universe()
     tokens = sorted(universe.tokens)
     rings = (Ring("a", frozenset(tokens[0:3]), c=C, ell=ELL, seq=0),)
-    state = ServiceState(universe, rings, epoch_mode="delta")
+    state = ServiceState(universe, rings)
     snap = state.current()
     cache = snap.solver_cache()
     cache.base_worlds(cache.related_key([tokens[0]]))
@@ -413,7 +418,7 @@ def test_delta_memo_only_commit_is_not_a_cache_invalidation():
 def test_snapshot_advance_partitioned_carries_untouched_batches():
     universe = make_universe(tokens=24, hts=6, seed=3)
     part = TokenPartition(universe, batches=4)
-    state = ServiceState(universe, (), partition=part, epoch_mode="delta")
+    state = ServiceState(universe, (), partition=part)
     snap = state.current()
     touched_token = part.tokens_of(0)[0]
     kept_token = part.tokens_of(2)[0]
@@ -441,25 +446,14 @@ def test_snapshot_advance_partitioned_carries_untouched_batches():
     assert state.delta_counters["memo_dropped"] == 1
 
 
-def test_epoch_mode_is_validated():
-    universe = make_universe()
-    with pytest.raises(ValueError, match="epoch_mode"):
-        ServiceState(universe, epoch_mode="incremental")
-    with pytest.raises(ValueError, match="epoch_mode"):
-        SelectionService(
-            universe, (), ServiceConfig(telemetry=False, epoch_mode="bogus")
-        )
-    assert EPOCH_MODES == ("replace", "delta")
-
-
 def test_epoch_delta_counter_names_match_state():
     universe = make_universe()
-    state = ServiceState(universe, epoch_mode="delta")
+    state = ServiceState(universe)
     reported = set(EpochDelta(ring=None).as_counters())
-    assert reported == set(state.delta_counters) - {"commits"}
+    assert reported == set(state.delta_counters)
 
 
-# -- live service: delta vs replace equivalence ------------------------------
+# -- live service vs the cold-rebuild oracle ---------------------------------
 
 
 def interleaving_script(
@@ -471,7 +465,9 @@ def interleaving_script(
     """A randomized commit/request interleaving (commit ~1 in 4 steps).
 
     Partitioned, commit members are drawn from a single batch slice —
-    the batch-locality the partition contract enforces.
+    the batch-locality the partition contract enforces.  Selects
+    alternate at random between the exact rung and the ladder, whose
+    degraded rungs read the module decomposition.
     """
     tokens = sorted(universe.tokens)
     script, committed = [], 0
@@ -484,39 +480,9 @@ def interleaving_script(
             script.append(("commit", f"c{committed}", members))
             committed += 1
         else:
-            script.append(("select", f"q{step}", rng.choice(tokens)))
+            mode = rng.choice(("exact", "ladder"))
+            script.append(("select", f"q{step}", rng.choice(tokens), mode))
     return script
-
-
-def run_script(mode: str, universe: TokenUniverse, script, partition=None):
-    config = ServiceConfig(telemetry=False, epoch_mode=mode, partition=partition)
-    responses = []
-    with SelectionService(universe, (), config) as service:
-        for step in script:
-            if step[0] == "commit":
-                _, rid, members = step
-                try:
-                    service.commit_ring(tokens=members, c=C, ell=ELL, rid=rid)
-                except ValueError:
-                    # Partitioned: a spanning commit is rejected the
-                    # same way in both modes — skip it in both.
-                    pass
-            else:
-                _, request_id, target = step
-                responses.append(
-                    service.submit_wait(
-                        SelectRequest(
-                            request_id=request_id,
-                            target=target,
-                            c=C,
-                            ell=ELL,
-                            mode="exact",
-                        ),
-                        timeout=120.0,
-                    )
-                )
-        stats = service.stats()
-    return responses, stats
 
 
 def canon(response) -> dict:
@@ -532,20 +498,46 @@ def canon(response) -> dict:
 
 
 @pytest.mark.parametrize("batches", [None, 3])
-def test_delta_matches_replace_under_interleaving(batches):
+def test_live_service_matches_cold_rebuild_oracle(batches):
+    """Every live answer equals a from-scratch service's at the same chain.
+
+    The live service carries warm state (solver cache, module
+    decomposition, batch sub-snapshots, memo within an epoch) across
+    every commit; the oracle is a fresh ``SelectionService(universe,
+    rings_so_far, epoch=k)`` with nothing warm, asked the same request.
+    """
     universe = make_universe(tokens=12, hts=4, seed=11)
     part = None if batches is None else TokenPartition(universe, batches=batches)
     script = interleaving_script(random.Random(42), universe, 24, partition=part)
-    replace, _ = run_script("replace", universe, script, partition=part)
-    delta, stats = run_script("delta", universe, script, partition=part)
-    assert [canon(r) for r in delta] == [canon(r) for r in replace]
-    assert stats["delta"]["commits"] == stats["epochs_advanced"] > 0
+    config = ServiceConfig(telemetry=False, partition=part)
+    checked = 0
+    with SelectionService(universe, (), config) as live:
+        for step in script:
+            if step[0] == "commit":
+                _, rid, members = step
+                live.commit_ring(tokens=members, c=C, ell=ELL, rid=rid)
+                continue
+            _, request_id, target, mode = step
+            request = SelectRequest(
+                request_id=request_id, target=target, c=C, ell=ELL, mode=mode
+            )
+            head = live.state.current()
+            answer = live.submit_wait(request, timeout=120.0)
+            with SelectionService(
+                universe, head.rings, config, epoch=head.epoch
+            ) as oracle:
+                expected = oracle.submit_wait(request, timeout=120.0)
+            assert canon(answer) == canon(expected), f"{request_id} at epoch {head.epoch}"
+            checked += 1
+        stats = live.stats()
+    assert checked > 10 and stats["epochs_advanced"] > 0
+    assert stats["delta"]["worlds_retained"] > 0
 
 
 def test_delta_counters_surface_in_stats_health_metrics():
     universe = make_universe(tokens=12, hts=4, seed=11)
     tokens = sorted(universe.tokens)
-    config = ServiceConfig(telemetry=False, epoch_mode="delta")
+    config = ServiceConfig(telemetry=False)
     with SelectionService(universe, (), config) as service:
         service.submit_wait(
             SelectRequest(
@@ -557,20 +549,9 @@ def test_delta_counters_surface_in_stats_health_metrics():
         stats = service.stats()
         health = service.health()
         metrics = service.metrics_text()
-    assert stats["epoch_mode"] == "delta"
-    assert stats["delta"]["commits"] == 1
+    assert stats["epochs_advanced"] == 1
     assert stats["delta"]["memo_dropped"] >= 1
-    assert health["epoch_mode"] == "delta"
-    assert health["delta_commits"] == 1
-    assert "repro_service_delta_commits_total 1" in metrics
+    # No commit count that would only repeat epochs_advanced.
+    assert "commits" not in stats["delta"] and "delta_commits" not in health
+    assert "repro_service_delta_memo_dropped_total" in metrics
     assert "repro_service_delta_worlds_retained_total" in metrics
-
-
-def test_replace_mode_reports_zero_delta_counters():
-    universe = make_universe(tokens=12, hts=4, seed=11)
-    tokens = sorted(universe.tokens)
-    with SelectionService(universe, (), ServiceConfig(telemetry=False)) as service:
-        service.commit_ring(tokens=tokens[0:3], c=C, ell=ELL, rid="c0")
-        stats = service.stats()
-    assert stats["epoch_mode"] == "replace"
-    assert all(value == 0 for value in stats["delta"].values())

@@ -32,6 +32,7 @@ from repro.service import (
     ServiceState,
 )
 from repro.service.batching import EPOCH_ANY
+from repro.service.state import DuplicateRingId
 from repro.service.protocol import decode, encode
 from repro.service.server import handle_line
 
@@ -164,23 +165,36 @@ def test_stale_epoch_rejected_mid_batch_without_poisoning_mates():
 
 
 def test_commit_invalidates_warm_cache_deterministically():
+    """A commit drops exactly the warm state its ring reaches.
+
+    The history's rings form one token-overlap component, {t1, t2}.  A
+    commit disjoint from it keeps that component's world enumeration
+    object-identical into the next epoch; a commit joining it drops it.
+    """
     service = SelectionService(small_universe(), history())
     service.start()
     try:
         first = service.submit_wait(request("w1"), 30.0)
         second = service.submit_wait(request("w2", target="t4"), 30.0)
         assert not first.warm_cache and second.warm_cache
+        cache = service.state.current().solver_cache()
+        kept = cache.base_worlds(cache.related_key(["t1"]))
         service.commit_ring(["t3", "t4"], c=2.0, ell=2)
         third = service.submit_wait(request("w3", target="t5"), 30.0)
-        assert not third.warm_cache  # new epoch starts cold
+        assert third.warm_cache
+        head = service.state.current().solver_cache()
+        assert head.base_worlds(head.related_key(["t1"])) is kept
+        assert service.state.caches_invalidated == 0
+        service.commit_ring(["t1", "t2", "t5"], c=2.0, ell=2)
     finally:
         service.stop()
     assert service.state.caches_invalidated == 1
+    assert service.state.delta_counters["worlds_invalidated"] == 1
 
 
 def test_commit_rejects_duplicate_rid():
     state = ServiceState(small_universe(), history())
-    with pytest.raises(ValueError, match="duplicate ring id"):
+    with pytest.raises(DuplicateRingId, match="duplicate ring id"):
         state.commit(Ring("r1", frozenset({"t3"}), c=1.0, ell=1, seq=2))
 
 

@@ -20,6 +20,7 @@ Four layers of pinning:
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import socket
@@ -57,8 +58,10 @@ from repro.service.journal import (
     ring_to_doc,
     scan_frames,
 )
+from repro.service.daemon import _shard_sync
 from repro.service.pidfile import pid_alive
 from repro.service.server import handle_line
+from repro.service.state import DuplicateRingId, ReservedRingId
 from repro.core.ring import Ring, TokenUniverse
 
 SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
@@ -445,14 +448,14 @@ def test_daemon_recovery_matches_uncrashed_twin(tmp_path):
         assert "repro_service_recovered_frames_replayed 1" in twin.metrics_text()
 
 
-def test_recovery_replay_equivalent_in_both_epoch_modes(tmp_path):
-    """Journal replay lands on the same answers under replace and delta.
+def test_recovered_twin_keeps_matching_after_a_further_commit(tmp_path):
+    """A twin recovered cold advances like the daemon that never crashed.
 
-    The WAL records chain growth, not cache policy — ``epoch_mode`` is
-    a serving knob of the daemon that replays it.  A crashed delta-mode
-    daemon may therefore be recovered into either mode (and vice
-    versa): both twins, *and* their post-recovery delta/replace
-    commits, must answer byte-identically to the uncrashed reference.
+    The WAL records chain growth, not warm state: the crashed daemon
+    carried warm batches through every commit, the twin starts cold
+    from the replay, and one more commit *after* recovery (advancing
+    the twin's recovered snapshot) must leave it answering
+    byte-identically to the uncrashed reference.
     """
     universe = recovery_universe()
     part = TokenPartition(universe, batches=4)
@@ -463,12 +466,11 @@ def test_recovery_replay_equivalent_in_both_epoch_modes(tmp_path):
     journal = Journal(tmp_path / "j", sync_every=1, snapshot_every=0)
     journal.append_genesis(universe, (), 4)
     with SelectionService(
-        universe,
-        config=ServiceConfig(journal=journal, partition=4, epoch_mode="delta"),
+        universe, config=ServiceConfig(journal=journal, partition=4)
     ) as crashed:
         for i, (rid, tokens) in enumerate(commits):
-            # Warm each batch between commits so the delta advances
-            # exercised here actually carry state, not empty caches.
+            # Warm each batch between commits so the advances exercised
+            # here actually carry state, not empty caches.
             crashed.submit_wait(
                 SelectRequest(request_id=f"w{i}",
                               target=part.tokens_of(i)[4],
@@ -479,37 +481,28 @@ def test_recovery_replay_equivalent_in_both_epoch_modes(tmp_path):
 
     recovered = Journal(tmp_path / "j").recover()
     assert recovered.epoch == 4
-    twins = {
-        mode: SelectionService(
-            recovered.universe,
-            recovered.rings,
-            ServiceConfig(partition=recovered.batches, epoch_mode=mode),
-            epoch=recovered.epoch,
-            recovered=recovered.recovery,
-        )
-        for mode in ("replace", "delta")
-    }
+    twin = SelectionService(
+        recovered.universe,
+        recovered.rings,
+        ServiceConfig(partition=recovered.batches),
+        epoch=recovered.epoch,
+        recovered=recovered.recovery,
+    )
     uncrashed = SelectionService(universe, config=ServiceConfig(partition=4))
     for rid, tokens in commits:
         uncrashed.commit_ring(tokens, c=1.0, ell=1, rid=rid)
     extra = ("r4", sorted(part.tokens_of(1)[0:2]))
-    with twins["replace"], twins["delta"], uncrashed:
-        # One more commit *after* recovery: the delta twin advances its
-        # recovered snapshot incrementally, the replace twin rebuilds.
-        for service in (*twins.values(), uncrashed):
+    with twin, uncrashed:
+        for service in (twin, uncrashed):
             service.commit_ring(extra[1], c=1.0, ell=1, rid=extra[0])
         for request in select_battery(part):
             baseline = uncrashed.submit_wait(request, timeout=60.0)
-            assert baseline.epoch == 5
-            for mode, twin in twins.items():
-                answer = twin.submit_wait(request, timeout=60.0)
-                assert answer.epoch == 5
-                assert canon(answer) == canon(baseline), (
-                    f"{mode}-mode recovered twin diverged on "
-                    f"{request.request_id}"
-                )
-        assert twins["delta"].stats()["delta"]["commits"] == 1
-        assert twins["replace"].stats()["delta"]["commits"] == 0
+            answer = twin.submit_wait(request, timeout=60.0)
+            assert baseline.epoch == answer.epoch == 5
+            assert canon(answer) == canon(baseline), (
+                f"recovered twin diverged on {request.request_id}"
+            )
+        assert twin.stats()["epochs_advanced"] == 1
 
 
 def test_journaled_commit_is_idempotent_by_rid(tmp_path):
@@ -541,6 +534,82 @@ def test_doomed_commit_never_lands_a_wal_frame(tmp_path):
     journal.close()
     frames, _, _ = scan_frames(tmp_path / "j" / "wal.jsonl")
     assert len(frames) == 1  # genesis only
+
+
+def test_client_rid_cannot_take_an_assigned_id(tmp_path):
+    """A client rid in the ``svc:`` namespace is refused before the WAL.
+
+    Unreserved, ``rid="svc:1"`` at seq 0 made every later anonymous
+    commit derive ``svc:1`` again and fail as a duplicate after its WAL
+    frame had landed, wedging the chain.
+    """
+    universe = recovery_universe()
+    journal = Journal(tmp_path / "j", sync_every=1, snapshot_every=0)
+    journal.append_genesis(universe, (), None)
+    service = SelectionService(universe, config=ServiceConfig(journal=journal))
+    with pytest.raises(ReservedRingId, match="reserved"):
+        service.commit_ring(["t00", "t01"], c=1.0, ell=1, rid="svc:1")
+    for k in range(2):
+        head = service.commit_ring([f"t0{2 * k + 2}", f"t0{2 * k + 3}"], c=1.0, ell=1)
+        assert head.epoch == k + 1
+    journal.close()
+    frames, _, _ = scan_frames(tmp_path / "j" / "wal.jsonl")
+    assert [f.get("token") for f in frames] == [None, "svc:0", "svc:1"]
+
+
+def test_assigned_id_never_shadows_a_client_ring():
+    """A client ring sent as ``svc:0`` is rejected, not taken for a retry.
+
+    Unreserved, it matched the anonymous commit's ``svc:0`` and was
+    dropped as ``commits.replayed`` under an ``ok`` reply.
+    """
+    service = SelectionService(recovery_universe())
+    service.commit_ring(["t00", "t01"], c=1.0, ell=1)
+    line = json.dumps(
+        {"op": "commit", "id": "c1", "tokens": ["t02", "t03"],
+         "c": 1.0, "ell": 1, "rid": "svc:0"}
+    )
+    reply = json.loads(handle_line(service, line)[0])
+    assert reply["status"] == "rejected" and reply["code"] == "bad_request"
+    assert "reserved" in reply["detail"]
+    assert "commits.replayed" not in service.counters
+    assert [ring.rid for ring in service.state.current().rings] == ["svc:0"]
+
+
+def test_assigned_id_collision_never_lands_a_wal_frame(tmp_path):
+    universe = recovery_universe()
+    genesis = (Ring("svc:1", frozenset({"t00", "t01"}), c=1.0, ell=1, seq=0),)
+    journal = Journal(tmp_path / "j", sync_every=1, snapshot_every=0)
+    journal.append_genesis(universe, genesis, None)
+    service = SelectionService(universe, genesis, ServiceConfig(journal=journal))
+    with pytest.raises(DuplicateRingId, match="svc:1"):
+        service.commit_ring(["t02", "t03"], c=1.0, ell=1)
+    journal.close()
+    frames, _, _ = scan_frames(tmp_path / "j" / "wal.jsonl")
+    assert len(frames) == 1  # genesis only
+
+
+def test_rids_and_seq_continue_after_replay_and_shard_sync(tmp_path):
+    universe = recovery_universe()
+    journal = Journal(tmp_path / "j", sync_every=1, snapshot_every=0)
+    journal.append_genesis(universe, (), None)
+    service = SelectionService(universe, config=ServiceConfig(journal=journal))
+    service.commit_ring(["t00", "t01"], c=1.0, ell=1)
+    service.commit_ring(["t02", "t03"], c=1.0, ell=1, rid="a")
+    journal.close()
+
+    recovered = Journal(tmp_path / "j").recover()
+    twin = SelectionService(recovered.universe, recovered.rings, epoch=recovered.epoch)
+    assert twin.commit_ring(["t00"], c=1.0, ell=1, rid="a").epoch == 2
+    assert twin.counters["commits.replayed"] == 1
+    head = twin.commit_ring(["t04", "t05"], c=1.0, ell=1)
+    assert [(r.rid, r.seq) for r in head.rings] == [("svc:0", 0), ("a", 1), ("svc:2", 2)]
+
+    # A shard worker rebuilt from a router sync numbers on from the log.
+    worker = SelectionService(universe, config=ServiceConfig(partition=1))
+    _shard_sync(worker, {"rings": head.rings, "epoch": head.epoch})
+    synced = worker.commit_ring(["t06", "t07"], c=1.0, ell=1)
+    assert (synced.epoch, synced.rings[-1].rid, synced.rings[-1].seq) == (4, "svc:3", 3)
 
 
 def test_router_recovery_matches_uncrashed_twin(tmp_path):

@@ -117,12 +117,12 @@ def test_commit_retains_untouched_batch_warm_state():
     kept_view.solver_cache()
 
     ring = Ring("c0", frozenset(part.tokens_of(0)[0:3]), c=2.0, ell=2, seq=0)
-    head = state.commit(ring, retain_untouched=True)
+    head = state.commit(ring)
 
     assert head.epoch == snap.epoch + 1
     assert head.solve_view(kept_token) is kept_view  # warm slice carried
     assert head.solve_view(touched_token) is not snap.solve_view(touched_token)
-    assert state.caches_invalidated == 1  # only the touched batch dropped
+    assert state.delta_counters["parts_retained"] == 1  # only the touched batch moved
 
 
 def test_partition_one_matches_unpartitioned_service():

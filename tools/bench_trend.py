@@ -67,16 +67,6 @@ METRICS: dict[str, tuple[str, tuple[str, ...], str]] = {
         ("headline", "speedup_vs_single"),
         "higher",
     ),
-    "epoch.warm_hit_rate": (
-        "BENCH_epoch.json",
-        ("headline", "warm_hit_rate"),
-        "higher",
-    ),
-    "epoch.p99_speedup": (
-        "BENCH_epoch.json",
-        ("headline", "p99_speedup"),
-        "higher",
-    ),
     # Not overhead_pct: it hovers around zero and can go negative
     # (fsync cost inside run-to-run noise), which makes a percentage
     # regression check meaningless.  The journaled throughput carries
