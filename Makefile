@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-nonumpy lint chaos bench-smoke bench docs telemetry-smoke shard-smoke recover-smoke verify
+.PHONY: test test-nonumpy lint chaos bench-smoke bench docs telemetry-smoke shard-smoke recover-smoke servebench-smoke verify
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -72,4 +72,11 @@ recover-smoke:
 	REPRO_BENCH_RECOVERY_SMOKE=1 PYTHONPATH=src:benchmarks $(PYTHON) benchmarks/bench_recovery.py
 	$(PYTHON) tools/journal_fsck.py --check benchmarks/results/recovery_journal
 
-verify: test test-nonumpy chaos bench-smoke shard-smoke recover-smoke telemetry-smoke docs
+# End-to-end benchmark gate: servebench's own test runs every workload
+# on a short profile, untraced and traced, checks every served answer
+# against the frozen seed functions, and requires identical daemon work
+# counts in both runs.
+servebench-smoke:
+	$(PYTHON) -m pytest servebench/test_servebench.py -q
+
+verify: test test-nonumpy chaos bench-smoke shard-smoke recover-smoke telemetry-smoke servebench-smoke docs

@@ -52,6 +52,7 @@ from .problem import (
     check_diversity_constraint,
     check_immutability_constraint,
     check_non_eliminated_constraint,
+    definition5_violations,
     is_feasible_exact,
 )
 from .progressive import progressive_select
@@ -83,6 +84,7 @@ __all__ = [
     "check_diversity_constraint",
     "check_non_eliminated_constraint",
     "check_immutability_constraint",
+    "definition5_violations",
     "is_feasible_exact",
     "BfsResult",
     "SearchBudgetExceeded",

@@ -265,10 +265,12 @@ def bfs_select(
                     _checkpoint_boundary(size + 1)
                     continue
                 for batch in chunked(stream, KERNEL_BATCH_SIZE):
-                    # One kernel pass resolves most of the stratum chunk
-                    # (None = batching off or the state build tripped
-                    # the deadline); the in-order replay below keeps the
-                    # seed's deadline, fault-hook and event semantics.
+                    # One kernel pass resolves the chunk up to and
+                    # including its first feasible candidate (None =
+                    # batching off or the kernel tripped the deadline);
+                    # the in-order replay below returns at that
+                    # candidate and keeps the seed's deadline,
+                    # fault-hook and event semantics.
                     verdicts = prefilter_chunk(
                         instance, cache, batch, deadline=deadline
                     )

@@ -30,15 +30,18 @@ materializing a single extended world:
   dominance-pruned backtracking as ``WorldSet.dtrss_of``, with a pair
   set represented as a base mask plus at most one candidate slice), and
   *early-exited* at the first violating minimal DTRS.  Infeasible
-  candidates — the bulk of every stratum — therefore resolve without
-  materializing a single extended world or enumerating past the first
-  violation; the rare clean candidate pays the full sweep and earns an
-  exact "feasible" verdict.
+  candidates therefore resolve without materializing a single extended
+  world or enumerating past the first violation; a clean candidate
+  pays the full sweep and earns an exact "feasible" verdict.
 
-Verdicts are pure functions of (instance, candidate) — never of chunk
-composition or worker placement — so the batched solver emits byte-for-
-byte the counters and results of the per-candidate one (pinned by the
-equivalence suites).
+:func:`prefilter_chunk` returns verdicts in chunk order, up to and
+including the first ``feasible`` one: Algorithm 2 stops at a stratum's
+first feasible candidate, and the candidates after it are often
+feasible too, so resolving them would pay the full sweep for verdicts
+no one reads.  Verdicts are pure functions of (instance, candidate) —
+never of chunk composition or worker placement — so the batched solver
+emits byte-for-byte the counters and results of the per-candidate one
+(pinned by the equivalence suites).
 
 Two interchangeable backends implement the mask algebra behind one
 interface, mirroring the :mod:`~repro.core.perf.reference` equivalence
@@ -210,9 +213,9 @@ class KernelState:
         target in ascending size on the factorized masks — the size-0/1
         pre-checks and the size-2+ backtracking share one dominance-
         pruned loop — and exits at the *first* violating minimal DTRS,
-        which is what makes infeasible candidates (the bulk of a
-        stratum) cheap: no extended world is ever materialized and no
-        enumeration runs past the violation.
+        which is what makes infeasible candidates cheap: no extended
+        world is ever materialized and no enumeration runs past the
+        violation.
 
         Raises:
             DeadlineExceeded: the sweep passed ``deadline``.
@@ -541,11 +544,15 @@ def prefilter_chunk(
 ) -> list[str] | None:
     """Batched verdicts for one stratum chunk of mixin tuples.
 
-    Returns a verdict per chunk entry (``"ht"`` | ``"eliminated"`` |
-    ``"dtrs"`` | ``"feasible"``), aligned with ``chunk`` — or ``None``
-    when batching is off or the kernel tripped the deadline mid-chunk
-    (the caller's per-candidate loop then re-raises the trip at the
-    right candidate).
+    Returns verdicts (``"ht"`` | ``"eliminated"`` | ``"dtrs"`` |
+    ``"feasible"``) in chunk order, aligned with ``chunk``'s prefix, up
+    to and including the first ``"feasible"`` one — or ``None`` when
+    batching is off or the kernel tripped the deadline mid-chunk (the
+    caller's per-candidate loop then re-raises the trip at the right
+    candidate).  Algorithm 2 returns the first feasible candidate of
+    the stratum, so the in-order replay stops there and never reads
+    past it; a chunk with no feasible candidate gets a verdict for
+    every entry.
 
     Each verdict depends only on (instance, candidate): the serial
     solver and every parallel worker compute identical verdicts for a
@@ -568,9 +575,10 @@ def prefilter_chunk(
                 continue
             key = cache.related_key(tokens)
             state = cache.kernel_state(key, backend, deadline=deadline)
-            verdicts.append(
-                state.verdict_of(universe, tokens, c, ell, deadline=deadline)
-            )
+            verdict = state.verdict_of(universe, tokens, c, ell, deadline=deadline)
+            verdicts.append(verdict)
+            if verdict == "feasible":
+                break
     except DeadlineExceeded:
         return None
     if events.enabled():

@@ -157,8 +157,10 @@ def _scan_chunk(
     # functions of (instance, candidate), so per-candidate work (and the
     # counters the replay emits below) is identical to a serial scan of
     # the same prefix no matter how candidates landed on workers.  The
-    # pre-filter runs outside the per-candidate recorders: kernel/cache
-    # counters are per-process (scheduling-dependent) by design.
+    # verdicts stop at the chunk's first feasible candidate, where the
+    # scan below returns.  The pre-filter runs outside the per-candidate
+    # recorders: kernel/cache counters are per-process
+    # (scheduling-dependent) by design.
     verdicts = prefilter_chunk(instance, cache, chunk, deadline=deadline)
     for local_index, mixin_tuple in enumerate(chunk):
         # Resolved verdicts apply in O(1) and never consult the clock

@@ -20,10 +20,10 @@ counterparts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .diversity import ht_counts_satisfy
-from .dtrs import get_dtrss
+from .perf.worlds import WorldSet
 from .ring import Ring, TokenUniverse, related_ring_set
 
 __all__ = [
@@ -32,6 +32,7 @@ __all__ = [
     "check_diversity_constraint",
     "check_non_eliminated_constraint",
     "check_immutability_constraint",
+    "definition5_violations",
     "is_feasible_exact",
 ]
 
@@ -88,12 +89,7 @@ def check_diversity_constraint(
     universe: TokenUniverse,
 ) -> bool:
     """Exact Definition 4 check for the new ring (both conditions)."""
-    if not ht_counts_satisfy(universe.ht_counts(candidate.tokens), candidate.c, candidate.ell):
-        return False
-    for dtrs in get_dtrss(candidate, closure, universe):
-        if not ht_counts_satisfy(universe.ht_counts(dtrs.tokens), candidate.c, candidate.ell):
-            return False
-    return True
+    return _diverse_in(candidate, WorldSet(closure), universe)
 
 
 def check_non_eliminated_constraint(
@@ -124,26 +120,69 @@ def check_immutability_constraint(
     already violated their own claim beforehand cannot be broken by the
     newcomer, so they do not constrain it ("maintain" in Definition 5).
     """
-    before = [ring for ring in closure if ring.rid != candidate.rid]
-    for ring in before:
-        held_before = _ring_diverse_in(ring, before, universe)
-        if not held_before:
-            continue
-        if not _ring_diverse_in(ring, closure, universe):
-            return False
-    return True
+    return _immutable(candidate, closure, WorldSet(closure), universe)
 
 
-def _ring_diverse_in(
-    ring: Ring, closure: Sequence[Ring], universe: TokenUniverse
+def definition5_violations(
+    instance: DamsInstance, mixins: Iterable[str]
+) -> Iterator[str]:
+    """Yield the Definition 5 constraints that ``mixins`` + target break.
+
+    Names come in the order ``"diversity"``, ``"non_eliminated"``,
+    ``"immutability"``; nothing is yielded for a feasible ring.  A
+    generator, so a caller asking only *whether* the ring fails stops
+    at the first violation, while ``tuple(...)`` lists every one.
+
+    Each ring set's worlds are enumerated once per call: one
+    :class:`~repro.core.perf.worlds.WorldSet` of the closure answers the
+    candidate's DTRSs and every related ring's DTRSs after the
+    candidate, and one of the closure without the candidate answers the
+    related rings' DTRSs before it.  Checking constraint by constraint
+    through ``get_dtrss`` enumerated ``1 + 2k`` world sets for ``k``
+    related rings.  Both are built from the closure on every call and
+    never shared with a solver cache, so the check stays independent
+    of the solver whose answer it verifies.
+    """
+    candidate = instance.make_ring(mixins)
+    closure = instance.related_rings(candidate) + [candidate]
+    universe = instance.universe
+    worlds = WorldSet(closure)
+    if not _diverse_in(candidate, worlds, universe):
+        yield "diversity"
+    if not check_non_eliminated_constraint(closure):
+        yield "non_eliminated"
+    if not _immutable(candidate, closure, worlds, universe):
+        yield "immutability"
+
+
+def _immutable(
+    candidate: Ring,
+    closure: Sequence[Ring],
+    worlds: WorldSet,
+    universe: TokenUniverse,
 ) -> bool:
-    """Definition 4 for ``ring`` under its own claim, within ``closure``."""
+    """Immutability of ``closure``'s other rings; ``worlds`` is the
+    closure's world set."""
+    before = [ring for ring in closure if ring.rid != candidate.rid]
+    if not before:
+        return True
+    before_worlds = WorldSet(before)
+    return all(
+        _diverse_in(ring, worlds, universe)
+        for ring in before
+        if _diverse_in(ring, before_worlds, universe)
+    )
+
+
+def _diverse_in(ring: Ring, worlds: WorldSet, universe: TokenUniverse) -> bool:
+    """Definition 4 for ``ring`` under its own claim, within the ring
+    set ``worlds`` enumerates."""
     if not ht_counts_satisfy(universe.ht_counts(ring.tokens), ring.c, ring.ell):
         return False
-    for dtrs in get_dtrss(ring, closure, universe):
-        if not ht_counts_satisfy(universe.ht_counts(dtrs.tokens), ring.c, ring.ell):
-            return False
-    return True
+    return all(
+        ht_counts_satisfy(universe.ht_counts(dtrs.tokens), ring.c, ring.ell)
+        for dtrs in worlds.dtrss_of(ring.rid, universe)
+    )
 
 
 def is_feasible_exact(instance: DamsInstance, mixins: Iterable[str]) -> bool:
@@ -152,11 +191,4 @@ def is_feasible_exact(instance: DamsInstance, mixins: Iterable[str]) -> bool:
     This is the decision version DDA-MS of Theorem 3.1 — exponential in
     general, intended for small instances and cross-checking tests.
     """
-    candidate = instance.make_ring(mixins)
-    related = instance.related_rings(candidate)
-    closure = related + [candidate]
-    return (
-        check_diversity_constraint(candidate, closure, instance.universe)
-        and check_non_eliminated_constraint(closure)
-        and check_immutability_constraint(candidate, closure, instance.universe)
-    )
+    return next(definition5_violations(instance, mixins), None) is None

@@ -185,9 +185,10 @@ class KernelStateBuilt:
 class KernelBatchScanned:
     """One batched pre-filter over a chunk of same-stratum candidates.
 
-    ``resolved`` counts candidates whose verdict the kernel settled
-    without the per-candidate fallback ("full" verdicts are the
-    remainder).
+    ``resolved`` counts the verdicts the kernel computed: the chunk's
+    candidates up to and including its first feasible one (all of them
+    when none is feasible).  The candidates past that one are never
+    scanned.
     """
 
     candidates: int

@@ -31,6 +31,7 @@ installed (``--metrics`` keeps working unchanged).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
 from typing import Mapping, Sequence
 
@@ -96,16 +97,13 @@ class FixedBucketHistogram:
         value = float(value)
         self.count += 1
         self.sum += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
-        self.bucket_counts[self._bucket_index(value)] += 1
+        if self.min is None or value < self.min:
+            self.min = value
+        if self.max is None or value > self.max:
+            self.max = value
+        # The first bound >= value; past every bound is the +Inf bucket.
+        self.bucket_counts[bisect_left(self.bounds, value)] += 1
         self._window.append(value)
-
-    def _bucket_index(self, value: float) -> int:
-        for index, bound in enumerate(self.bounds):
-            if value <= bound:
-                return index
-        return len(self.bounds)
 
     def quantile(self, q: float) -> float | None:
         """Exact nearest-rank quantile over the retained window.
@@ -170,8 +168,10 @@ class RollingCounter:
 
     def add(self, now: float, value: int = 1) -> None:
         self.total += value
-        self._events.append((now, value))
-        self._prune(now)
+        events = self._events
+        events.append((now, value))
+        if events[0][0] <= now - self.window_s:
+            self._prune(now)
 
     def _prune(self, now: float) -> None:
         horizon = now - self.window_s
@@ -226,10 +226,16 @@ class Telemetry:
         return counter
 
     def observe(self, name: str, value: float) -> None:
-        self.histogram(name).observe(value)
+        hist = self._histograms.get(name)
+        if hist is None:
+            hist = self.histogram(name)
+        hist.observe(value)
 
     def count(self, name: str, now: float, value: int = 1) -> None:
-        self.counter(name).add(now, value)
+        counter = self._counters.get(name)
+        if counter is None:
+            counter = self.counter(name)
+        counter.add(now, value)
 
     def gauge(self, name: str, value: float) -> None:
         self._gauges[name] = value

@@ -43,13 +43,7 @@ from ..core.baselines import smallest_select  # noqa: F401 - registers "smallest
 from ..core.bfs import SearchBudgetExceeded, bfs_select
 from ..core.modules import ModuleUniverse
 from ..core.perf.parallel import WorkerLost
-from ..core.problem import (
-    DamsInstance,
-    InfeasibleError,
-    check_diversity_constraint,
-    check_immutability_constraint,
-    check_non_eliminated_constraint,
-)
+from ..core.problem import DamsInstance, InfeasibleError, definition5_violations
 from ..core.progressive import progressive_select
 from ..core.relaxation import select_with_relaxation
 from ..core.selector import SelectionResult
@@ -126,23 +120,18 @@ def verify_ring(
     """Exact Definition 5 re-verification of one candidate ring.
 
     One candidate's check, not a search — cheap relative to the budget
-    that tripped the exact rung.  Returns the verified constraint
-    names; raises :class:`ConstraintViolation` (rung "verify") listing
-    every violated one.
+    that tripped the exact rung.  The closure's world sets are built
+    afresh on every call (see
+    :func:`~repro.core.problem.definition5_violations`), never taken
+    from the solver's cache, so a fault in the cached path cannot
+    verify itself.  Returns the verified constraint names; raises
+    :class:`ConstraintViolation` (rung "verify") listing every violated
+    one.
     """
     mixins = set(tokens) - {instance.target_token}
-    candidate = instance.make_ring(mixins)
-    related = instance.related_rings(candidate)
-    closure = related + [candidate]
-    failed = []
-    if not check_diversity_constraint(candidate, closure, instance.universe):
-        failed.append("diversity")
-    if not check_non_eliminated_constraint(closure):
-        failed.append("non_eliminated")
-    if not check_immutability_constraint(candidate, closure, instance.universe):
-        failed.append("immutability")
+    failed = tuple(definition5_violations(instance, mixins))
     if failed:
-        raise ConstraintViolation("verify", tuple(failed))
+        raise ConstraintViolation("verify", failed)
     return CONSTRAINTS
 
 

@@ -198,8 +198,18 @@ class TestVerdictSemantics:
         from itertools import combinations
 
         chunk = [combo for combo in combinations(sigma, 2)][:KERNEL_BATCH_SIZE]
-        verdicts = prefilter_chunk(instance, cache, chunk, backend=backend)
-        assert verdicts is not None and len(verdicts) == len(chunk)
+        # Verdicts stop at the first feasible candidate, so walk the
+        # chunk: each call resolves a prefix of what is left, and only
+        # its last verdict may be feasible.
+        verdicts = []
+        while len(verdicts) < len(chunk):
+            part = prefilter_chunk(
+                instance, cache, chunk[len(verdicts):], backend=backend
+            )
+            assert part, "every call resolves at least one candidate"
+            assert "feasible" not in part[:-1]
+            verdicts.extend(part)
+        assert len(verdicts) == len(chunk)
         for mixin_tuple, verdict in zip(chunk, verdicts):
             candidate = instance.make_ring(mixin_tuple)
             truth = _candidate_feasible_reference(instance, candidate)
@@ -210,6 +220,22 @@ class TestVerdictSemantics:
                 assert not truth, (
                     f"kernel filtered at {verdict} but seed accepts {mixin_tuple}"
                 )
+
+    def test_serial_scan_computes_one_verdict_per_candidate(self):
+        # The kernel stops at a chunk's first feasible candidate, which
+        # is where the in-order replay returns: no verdict is computed
+        # for a candidate the scan never reaches, on solvable and
+        # infeasible instances alike.
+        outcomes = set()
+        for seed in range(12):
+            instance = random_instance(500 + seed, token_count=9, history=4)
+            with metrics.recording() as rec:
+                outcome, _ = outcomes_of(bfs_select, instance)
+            outcomes.add(outcome)
+            scanned = rec.counters["bfs.candidates"]
+            assert scanned > 0
+            assert rec.counters["kernel.resolved"] == scanned, f"seed {seed}"
+        assert outcomes == {"ok", "infeasible"}
 
     @pytest.mark.parametrize("backend_name", BACKENDS)
     def test_every_candidate_resolves(self, backend_name):

@@ -10,12 +10,19 @@ overhead guard (< 3%, same methodology as ``tests/test_obs_overhead``).
 
 import random
 import time
+from collections import Counter
+from itertools import product
 
 import pytest
 
 from repro.core.bfs import SearchBudgetExceeded, bfs_select
-from repro.core.problem import DamsInstance, InfeasibleError
-from repro.core.ring import Ring, TokenUniverse
+from repro.core.diversity import ht_counts_satisfy
+from repro.core.perf.reference import (
+    check_non_eliminated_reference,
+    get_dtrss_reference,
+)
+from repro.core.problem import DamsInstance, InfeasibleError, is_feasible_exact
+from repro.core.ring import Ring, TokenUniverse, related_ring_set
 from repro.obs import metrics
 from repro.resilience.checkpoint import (
     BfsCheckpoint,
@@ -32,10 +39,12 @@ from repro.resilience.faults import (
     injecting,
 )
 from repro.resilience.ladder import (
+    CONSTRAINTS,
     RUNGS,
     ConstraintViolation,
     DegradedResult,
     ladder_select,
+    verify_ring,
 )
 
 
@@ -259,6 +268,85 @@ class TestLadder:
         assert outcome.rung == "relaxation"
         if outcome.relaxation_level > 0:
             assert (outcome.claimed_c, outcome.claimed_ell) != (2.0, 3)
+
+
+def reference_failures(instance, tokens):
+    """The Definition 5 re-check rebuilt from the frozen seed functions
+    (eager worlds per ``get_dtrss`` call, fresh Kuhn matchings), the way
+    ``servebench/checks.py`` builds it."""
+    universe = instance.universe
+    candidate = instance.make_ring(set(tokens) - {instance.target_token})
+    related = related_ring_set(candidate, instance.rings)
+    closure = related + [candidate]
+
+    def diverse_in(ring, rings):
+        if not ht_counts_satisfy(universe.ht_counts(ring.tokens), ring.c, ring.ell):
+            return False
+        return all(
+            ht_counts_satisfy(universe.ht_counts(dtrs.tokens), ring.c, ring.ell)
+            for dtrs in get_dtrss_reference(ring, rings, universe)
+        )
+
+    failed = []
+    if not diverse_in(candidate, closure):
+        failed.append("diversity")
+    if not check_non_eliminated_reference(closure):
+        failed.append("non_eliminated")
+    if any(diverse_in(ring, related) and not diverse_in(ring, closure)
+           for ring in related):
+        failed.append("immutability")
+    return tuple(failed), related
+
+
+def random_ring_to_verify(rng):
+    """A random history, requirement and mixin set; overlapping small
+    rings with mixed claims make every constraint fail now and then."""
+    tokens = [f"t{i}" for i in range(rng.randint(5, 8))]
+    universe = TokenUniverse({t: f"h{rng.randrange(4)}" for t in tokens})
+    rings = [
+        Ring(f"r{i}", frozenset(rng.sample(tokens, rng.randint(2, 3))),
+             c=rng.choice([1.0, 2.0]), ell=rng.choice([1, 2]), seq=i)
+        for i in range(rng.randint(1, 4))
+    ]
+    target = rng.choice(tokens)
+    instance = DamsInstance(
+        universe, rings, target, c=rng.choice([1.0, 2.0]),
+        ell=rng.choice([1, 2, 3]),
+    )
+    mixins = rng.sample([t for t in tokens if t != target], rng.randint(1, 4))
+    return instance, frozenset(mixins) | {target}
+
+
+class TestVerifyRing:
+    def test_matches_the_seed_recheck_on_random_rings(self):
+        """verify_ring reports exactly the violations the seed functions
+        find, on feasible and violating rings alike, and enumerates one
+        world set for the closure plus one for the closure without the
+        candidate (never one per checked ring)."""
+        rng = random.Random(0)
+        seen = Counter()
+        for case in range(400):
+            instance, tokens = random_ring_to_verify(rng)
+            expected, related = reference_failures(instance, tokens)
+            with metrics.recording() as rec:
+                try:
+                    reported = verify_ring(instance, tokens)
+                except ConstraintViolation as exc:
+                    assert exc.rung == "verify"
+                    failed = exc.failed
+                else:
+                    assert reported == CONSTRAINTS
+                    failed = ()
+            assert failed == expected, f"case {case}: {failed} != {expected}"
+            assert rec.counters["worlds.built"] == (2 if related else 1)
+            mixins = tokens - {instance.target_token}
+            assert is_feasible_exact(instance, mixins) == (not expected)
+            seen[failed] += 1
+        every_combination = {
+            tuple(name for name, on in zip(CONSTRAINTS, flags) if on)
+            for flags in product((False, True), repeat=len(CONSTRAINTS))
+        }
+        assert set(seen) == every_combination, seen
 
 
 class TestDisabledFaultOverhead:

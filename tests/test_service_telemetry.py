@@ -19,6 +19,7 @@
 from __future__ import annotations
 
 import json
+import statistics
 import subprocess
 import sys
 import threading
@@ -339,8 +340,12 @@ def test_telemetry_marks_cost_under_the_bench_budget():
     """Price the four lifecycle marks against the cheapest request the
     benches actually measure — a warm-cache *solve* (the bench workload
     never replays memoized answers; its requests cost milliseconds).
-    The instrument must stay under the issue's 5% margin even against
-    this floor."""
+    The instrument must stay under a 5% margin even against
+    this floor.
+
+    One timing of each side is at the mercy of whatever else shares the
+    CPU, so rounds of marks are interleaved with warm solves on distinct
+    targets and the medians are compared."""
     telemetry = ServiceTelemetry()
 
     class _Ok:
@@ -352,23 +357,30 @@ def test_telemetry_marks_cost_under_the_bench_budget():
         attrs = {"memo": True}
 
     response = _Ok()
-    rounds = 2000
-    start = time.perf_counter()
-    for _ in range(rounds):
-        admitted = telemetry.admitted(0)
-        telemetry.batch_started(1, 0)
-        started = telemetry.request_started(admitted)
-        telemetry.request_finished(response, admitted, started)
-    per_request_marks = (time.perf_counter() - start) / rounds
 
+    def marks_per_request(rounds: int = 400) -> float:
+        start = time.perf_counter()
+        for _ in range(rounds):
+            admitted = telemetry.admitted(0)
+            telemetry.batch_started(1, 0)
+            started = telemetry.request_started(admitted)
+            telemetry.request_finished(response, admitted, started)
+        return (time.perf_counter() - start) / rounds
+
+    marks, solves = [], []
     with SelectionService(small_universe(), history()) as service:
         service.submit_wait(request("warmup"), 30.0)  # builds the caches
-        start = time.perf_counter()
-        # A distinct target: a real warm-cache solve, no memo replay.
-        service.submit_wait(request("warm", target="t4"), 30.0)
-        warm_solve = time.perf_counter() - start
+        # Distinct targets: real warm-cache solves, no memo replay.
+        for target in ("t4", "t5", "t6", "t7", "t8"):
+            marks.append(marks_per_request())
+            start = time.perf_counter()
+            service.submit_wait(request(f"warm-{target}", target=target), 30.0)
+            solves.append(time.perf_counter() - start)
+        marks.append(marks_per_request())
 
+    per_request_marks = statistics.median(marks)
+    warm_solve = statistics.median(solves)
     assert per_request_marks < 0.05 * warm_solve, (
         f"telemetry marks cost {per_request_marks * 1e6:.1f}us per request "
-        f"vs {warm_solve * 1e6:.1f}us for the cheapest warm solve"
+        f"vs {warm_solve * 1e6:.1f}us for the median warm solve"
     )
