@@ -66,9 +66,13 @@ telemetry-smoke:
 # soak), a capped run of the recovery benchmark (journal-on overhead +
 # replay cost, its own workload fingerprint so the trend check skips
 # it), then a strict fsck over the journal that bench run left behind
-# — a clean daemon must produce a byte-perfect journal.
+# — a clean daemon must produce a byte-perfect journal.  The suite runs
+# under `-X dev` with leaked files and sockets (ResourceWarning, and the
+# unraisable-exception warning a leak in a finalizer becomes) as errors;
+# the -W flags go to pytest, which resets Python's own warning filters.
 recover-smoke:
-	$(PYTHON) -m pytest tests/test_service_recovery.py -q
+	$(PYTHON) -X dev -m pytest tests/test_service_recovery.py -q \
+		-W error::ResourceWarning -W error::pytest.PytestUnraisableExceptionWarning
 	REPRO_BENCH_RECOVERY_SMOKE=1 PYTHONPATH=src:benchmarks $(PYTHON) benchmarks/bench_recovery.py
 	$(PYTHON) tools/journal_fsck.py --check benchmarks/results/recovery_journal
 

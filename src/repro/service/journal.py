@@ -23,6 +23,21 @@ write-ahead discipline:
   truncates the WAL, so recovery cost is bounded by the compaction
   cadence, not by chain length.
 
+A snapshot is the fold of the journal's own frames, assembled from
+text it already holds rather than re-serialized from the service's
+objects: the universe never changes and rings are only appended, so
+the next snapshot is the base state's canonical text (the genesis
+frame or the newest snapshot) with the canonical ring docs journaled
+since spliced into its ``rings`` array — byte-identical to encoding
+the full state, at the cost of copying the bytes plus one CRC.  The
+journal keeps that record in memory: the base's ring docs and universe
+as text, about the size of one snapshot file (0.64 MB for a chain of
+15360 tokens and 3456 rings), plus the ring docs journaled since.
+Recovery rebuilds it by slicing the base text it CRC-checked, never by
+re-encoding it.  The rename of a new snapshot, and the creation of
+``wal.jsonl``, are made durable by fsyncing the journal directory
+before the WAL is truncated or the first frame is acknowledged.
+
 Recovery (:meth:`Journal.recover`) loads the newest valid snapshot,
 replays the WAL tail on top of it, and returns a
 :class:`RecoveredState` from which ``serve --journal DIR`` rebuilds a
@@ -100,6 +115,11 @@ def _canonical(body: Mapping) -> str:
     return json.dumps(body, sort_keys=True, separators=(",", ":"))
 
 
+def _frame(text: str) -> str:
+    crc = zlib.crc32(text.encode("utf-8")) & 0xFFFFFFFF
+    return f"{crc:08x} {text}"
+
+
 def encode_frame(body: Mapping) -> str:
     """One CRC-framed journal line (no trailing newline).
 
@@ -111,9 +131,7 @@ def encode_frame(body: Mapping) -> str:
         >>> decode_frame(line)["epoch"]
         1
     """
-    text = _canonical(body)
-    crc = zlib.crc32(text.encode("utf-8")) & 0xFFFFFFFF
-    return f"{crc:08x} {text}"
+    return _frame(_canonical(body))
 
 
 def decode_frame(line: str) -> dict:
@@ -149,13 +167,20 @@ def scan_frames(path: Path) -> tuple[list[dict], int, str | None]:
     newline terminator is treated as torn — a crash mid-append — even
     if its CRC happens to verify.
     """
+    frames, _, valid_bytes, damage = _scan(path)
+    return frames, valid_bytes, damage
+
+
+def _scan(path: Path) -> tuple[list[dict], list[str], int, str | None]:
+    """:func:`scan_frames`, plus each valid frame's CRC-checked body text."""
     frames: list[dict] = []
+    texts: list[str] = []
     valid_bytes = 0
     damage: str | None = None
     try:
         blob = path.read_bytes()
     except FileNotFoundError:
-        return frames, 0, None
+        return frames, texts, 0, None
     offset = 0
     last_key: tuple[int, int] | None = None
     while offset < len(blob):
@@ -165,7 +190,8 @@ def scan_frames(path: Path) -> tuple[list[dict], int, str | None]:
             break
         raw = blob[offset:newline]
         try:
-            body = decode_frame(raw.decode("utf-8", errors="strict"))
+            line = raw.decode("utf-8", errors="strict")
+            body = decode_frame(line)
         except (JournalCorruption, UnicodeDecodeError) as exc:
             damage = f"frame {len(frames)}: {exc}"
             break
@@ -178,9 +204,10 @@ def scan_frames(path: Path) -> tuple[list[dict], int, str | None]:
             break
         last_key = key
         frames.append(body)
+        texts.append(line[9:])
         offset = newline + 1
         valid_bytes = offset
-    return frames, valid_bytes, damage
+    return frames, texts, valid_bytes, damage
 
 
 # -- chain-state (de)serialization -------------------------------------------
@@ -211,11 +238,123 @@ def _state_doc(
     rings: Sequence[Ring],
     batches: int | None,
 ) -> dict:
+    """The ``data`` of a genesis or snapshot frame, as objects.
+
+    The reference encoding: every state frame the journal writes is
+    byte-identical to :func:`encode_frame` of a body holding this doc,
+    though the journal assembles it from text (see
+    :func:`_state_text`) instead of building it.
+    """
     return {
         "universe": {token: universe.ht_of(token) for token in sorted(universe.tokens)},
         "rings": [ring_to_doc(ring) for ring in rings],
         "batches": batches,
     }
+
+
+# -- canonical text, spliced --------------------------------------------------
+#
+# A state frame body (genesis or snapshot) in canonical form is
+#
+#   {"data":{"batches":B,"rings":[R],"universe":U},"epoch":E,"op":O,"seq":S,"version":V}
+#
+# with R the ring docs joined by commas and U the universe object; a
+# commit frame body is
+#
+#   {"data":D,"epoch":E,"op":"commit","seq":S,"token":T,"version":V}
+#
+# with D one ring doc.  Everything around R, U and D is formatted from
+# scalars, so the journal keeps R, U and each D as text and assembles
+# frames around them.  A JSON string escapes every '"', so '],"universe":'
+# occurs only where a list closes before a "universe" key.  Recovery
+# slices a base only after rebuilding its TokenUniverse, whose HT labels
+# must be hashable, so U holds no list and the last occurrence ends the
+# rings array.
+
+_STATE_KEYS = ["data", "epoch", "op", "seq", "version"]
+_DATA_KEYS = ["batches", "rings", "universe"]
+_COMMIT_KEYS = ["data", "epoch", "op", "seq", "token", "version"]
+_RINGS_END = '],"universe":'
+_COMMIT_HEAD = '{"data":'
+
+
+def _ring_text(ring: Ring) -> str:
+    return _canonical(ring_to_doc(ring))
+
+
+def _universe_text(universe: TokenUniverse) -> str:
+    return _canonical({token: universe.ht_of(token) for token in universe.tokens})
+
+
+def _scalar(value) -> str:
+    """``json.dumps(value)``; an int skips building an encoder (commit path)."""
+    return str(value) if type(value) is int else json.dumps(value)
+
+
+def _state_frame(op, epoch, seq, batches, version=JOURNAL_FORMAT_VERSION) -> tuple[str, str]:
+    """The canonical text before R and after U of a state frame body."""
+    head = '{"data":{"batches":' + _scalar(batches) + ',"rings":['
+    tail = (
+        '},"epoch":' + _scalar(epoch) + ',"op":' + _scalar(op)
+        + ',"seq":' + _scalar(seq) + ',"version":' + _scalar(version) + "}"
+    )
+    return head, tail
+
+
+def _state_text(op: str, epoch: int, seq: int, batches: int | None,
+                rings: str, universe: str) -> str:
+    head, tail = _state_frame(op, epoch, seq, batches)
+    return "".join((head, rings, _RINGS_END, universe, tail))
+
+
+def _commit_tail(epoch, seq, token, version=JOURNAL_FORMAT_VERSION) -> str:
+    """The canonical text after the ring doc of a commit frame body."""
+    return (
+        ',"epoch":' + _scalar(epoch) + ',"op":"commit","seq":' + _scalar(seq)
+        + ',"token":' + _scalar(token) + ',"version":' + _scalar(version) + "}"
+    )
+
+
+def _slice_state(text: str, body: Mapping) -> tuple[str, str] | None:
+    """The (R, U) texts of a state frame body, or ``None``.
+
+    ``text`` is a CRC-checked body and ``body`` its parse.  The slices
+    are returned only when the text around them is exactly what
+    ``body`` formats to in the canonical layout — a file this journal
+    did not write gets ``None``, and its caller re-encodes instead.
+    """
+    data = body.get("data")
+    if (
+        list(body) != _STATE_KEYS
+        or not isinstance(data, dict)
+        or list(data) != _DATA_KEYS
+        or not text.isascii()
+    ):
+        return None
+    head, tail = _state_frame(
+        body["op"], body["epoch"], body["seq"], data["batches"], body["version"]
+    )
+    end = len(text) - len(tail)
+    cut = text.rfind(_RINGS_END, len(head), end)
+    if cut < 0 or not (text.startswith(head) and text.endswith(tail)):
+        return None
+    rings = text[len(head):cut]
+    if bool(rings) != bool(data["rings"]):
+        return None
+    return rings, text[cut + len(_RINGS_END):end]
+
+
+def _slice_commit(text: str, body: Mapping) -> str | None:
+    """The ring-doc text D of a commit frame body, or ``None`` (as above)."""
+    if list(body) != _COMMIT_KEYS or not text.isascii():
+        return None
+    tail = _commit_tail(body["epoch"], body["seq"], body["token"], body["version"])
+    end = len(text) - len(tail)
+    if end <= len(_COMMIT_HEAD) or not (
+        text.startswith(_COMMIT_HEAD) and text.endswith(tail)
+    ):
+        return None
+    return text[len(_COMMIT_HEAD):end]
 
 
 @dataclass(slots=True)
@@ -256,6 +395,12 @@ class Journal:
 
     One process owns a journal at a time — see
     :mod:`repro.service.pidfile` for the guard the CLI installs.
+
+    Besides the WAL handle, the journal keeps the record a snapshot is
+    assembled from: the base state's ring docs and universe as
+    canonical text, the ring-doc texts journaled since, and the highest
+    ring ``seq`` on the chain.  Like the handle, it is only touched
+    under the lock that serializes commits.
     """
 
     def __init__(
@@ -274,6 +419,10 @@ class Journal:
         self._wal = None  # opened lazily by append paths
         self._unsynced = 0
         self._commits_since_snapshot = 0
+        self._base_rings: str | None = None  # None: no base state yet
+        self._base_universe = ""
+        self._since_base: list[str] = []
+        self._max_seq = -1
         self.counters: dict[str, int] = {
             "appends": 0,
             "fsyncs": 0,
@@ -286,7 +435,10 @@ class Journal:
 
     def _open_wal(self):
         if self._wal is None:
+            created = not self.wal_path.exists()
             self._wal = open(self.wal_path, "a", encoding="utf-8")
+            if created:
+                self._fsync_directory()
         return self._wal
 
     def _fsync(self) -> None:
@@ -297,17 +449,34 @@ class Journal:
         self.counters["fsyncs"] += 1
         self._unsynced = 0
 
+    def _fsync_directory(self) -> None:
+        """Make a file created or renamed in the journal directory durable."""
+        fd = os.open(self.directory, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+
+    def _set_base(self, rings: str, universe: str, since: list[str], max_seq: int) -> None:
+        self._base_rings = rings
+        self._base_universe = universe
+        self._since_base = since
+        self._max_seq = max_seq
+
     def append(self, body: Mapping) -> None:
         """Append one frame; fsync per the batching policy.
 
         The caller must hold whatever lock serializes commits — frames
         must land in the same order state mutations are applied.
         """
+        self._append_text(_canonical(body))
+
+    def _append_text(self, text: str) -> None:
         plan = faults.active()
         if plan is not None:
             plan.check("journal.append")
         handle = self._open_wal()
-        handle.write(encode_frame(body) + "\n")
+        handle.write(_frame(text) + "\n")
         handle.flush()
         self.counters["appends"] += 1
         self._unsynced += 1
@@ -321,35 +490,30 @@ class Journal:
         batches: int | None,
     ) -> None:
         """Record the initial chain state (epoch 0) as the first frame."""
-        self.append(
-            {
-                "version": JOURNAL_FORMAT_VERSION,
-                "op": "genesis",
-                "epoch": 0,
-                "seq": -1,
-                "data": _state_doc(universe, rings, batches),
-            }
+        ring_texts = ",".join(_ring_text(ring) for ring in rings)
+        universe_text = _universe_text(universe)
+        self._append_text(
+            _state_text("genesis", 0, -1, batches, ring_texts, universe_text)
         )
         if self.sync_every and self._unsynced:
             self._fsync()
+        self._set_base(
+            ring_texts, universe_text, [], max((ring.seq for ring in rings), default=-1)
+        )
 
     def append_commit(self, epoch: int, ring: Ring) -> None:
         """WAL a ring commit *before* it is applied to the state.
 
         ``epoch`` is the epoch the chain will be at once the commit
         applies; the ring id doubles as the idempotency token a
-        recovering replay and a retrying client both key on.
+        recovering replay and a retrying client both key on.  The ring
+        doc is encoded once: the same text goes into the frame and into
+        the record the next snapshot is assembled from.
         """
-        self.append(
-            {
-                "version": JOURNAL_FORMAT_VERSION,
-                "op": "commit",
-                "epoch": epoch,
-                "seq": ring.seq,
-                "token": ring.rid,
-                "data": ring_to_doc(ring),
-            }
-        )
+        text = _ring_text(ring)
+        self._append_text(_COMMIT_HEAD + text + _commit_tail(epoch, ring.seq, ring.rid))
+        self._since_base.append(text)
+        self._max_seq = max(self._max_seq, ring.seq)
         self._commits_since_snapshot += 1
 
     def sync(self) -> None:
@@ -363,36 +527,47 @@ class Journal:
             and self._commits_since_snapshot >= self.snapshot_every
         )
 
-    def write_snapshot(
-        self,
-        epoch: int,
-        universe: TokenUniverse,
-        rings: Sequence[Ring],
-        batches: int | None,
-    ) -> Path:
+    def write_snapshot(self, epoch: int, batches: int | None) -> Path:
         """Compact: persist the full state, then truncate the WAL.
 
+        The snapshot is the fold of the journal's own frames: the base
+        state's text with the ring docs journaled since spliced into its
+        rings array, byte-identical to encoding the whole chain, so it
+        costs a copy of the snapshot's bytes, one CRC and the fsyncs,
+        not a pass over the chain's objects; the new rings were encoded
+        once, when they were journaled.  The assembled text becomes the
+        next base, so the record held in memory stays about one
+        snapshot file in size.  ``batches`` is recorded as given
+        (``serve --batches`` may override the journal's value).
+
         The snapshot is written to a temp file, fsynced and renamed
-        into place before the WAL is touched, so a crash at any point
-        leaves either the old (snapshot, WAL) pair or the new one —
-        never a state that loses a committed ring.  Replays skip WAL
-        frames at or below the snapshot epoch, which also covers a
-        crash between the rename and the truncation.
+        into place, and the directory is fsynced so the rename is
+        durable before the WAL is touched: a crash at any point leaves
+        either the old (snapshot, WAL) pair or the new one — never a
+        state that loses a committed ring.  Replays skip WAL frames at
+        or below the snapshot epoch, which also covers a crash between
+        the rename and the truncation.
+
+        Raises:
+            JournalError: the journal has no base state — no genesis
+                was appended and nothing was recovered.
         """
-        body = {
-            "version": JOURNAL_FORMAT_VERSION,
-            "op": "snapshot",
-            "epoch": epoch,
-            "seq": max((ring.seq for ring in rings), default=-1),
-            "data": _state_doc(universe, rings, batches),
-        }
+        if self._base_rings is None:
+            raise JournalError(
+                "no base state to compact: append a genesis frame or recover first"
+            )
+        rings = ",".join(filter(None, (self._base_rings, *self._since_base)))
+        text = _state_text(
+            "snapshot", epoch, self._max_seq, batches, rings, self._base_universe
+        )
         path = self.directory / f"snapshot-{epoch:08d}.json"
         tmp = path.with_suffix(".json.tmp")
         with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(encode_frame(body) + "\n")
+            handle.write(_frame(text) + "\n")
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
+        self._fsync_directory()
         # Truncate the WAL: everything up to `epoch` now lives in the
         # snapshot.  Reopen in write mode to drop the old frames.
         if self._wal is not None:
@@ -400,23 +575,18 @@ class Journal:
         self._wal = open(self.wal_path, "w", encoding="utf-8")
         self._wal.flush()
         os.fsync(self._wal.fileno())
+        self._set_base(rings, self._base_universe, [], self._max_seq)
         self.counters["snapshots"] += 1
         self._commits_since_snapshot = 0
         self._unsynced = 0
         self._prune_snapshots(keep=2)
         return path
 
-    def maybe_snapshot(
-        self,
-        epoch: int,
-        universe: TokenUniverse,
-        rings: Sequence[Ring],
-        batches: int | None,
-    ) -> Path | None:
+    def maybe_snapshot(self, epoch: int, batches: int | None) -> Path | None:
         """Compact when the cadence says so (the commit-path helper)."""
         if not self.due_for_snapshot():
             return None
-        return self.write_snapshot(epoch, universe, rings, batches)
+        return self.write_snapshot(epoch, batches)
 
     def _prune_snapshots(self, keep: int) -> None:
         files = sorted(self._snapshot_paths(), reverse=True)
@@ -447,8 +617,8 @@ class Journal:
             self.wal_path.exists() and self.wal_path.stat().st_size > 0
         )
 
-    def _load_base(self) -> tuple[dict | None, list[str]]:
-        """The newest valid snapshot body, plus notes on any skipped."""
+    def _load_base(self) -> tuple[dict | None, str, list[str]]:
+        """The newest valid snapshot body and its text, plus notes on any skipped."""
         notes: list[str] = []
         for path in sorted(self._snapshot_paths(), reverse=True):
             try:
@@ -460,8 +630,8 @@ class Journal:
             if body.get("op") not in ("snapshot", "genesis"):
                 notes.append(f"snapshot {path.name} has op {body.get('op')!r}; skipped")
                 continue
-            return body, notes
-        return None, notes
+            return body, line[9:], notes
+        return None, "", notes
 
     def recover(self, truncate: bool = True) -> RecoveredState | None:
         """Replay snapshot + WAL tail into a :class:`RecoveredState`.
@@ -472,6 +642,11 @@ class Journal:
         read-only mode passes ``False``) and the loss is reported in
         ``RecoveredState.recovery``.
 
+        Recovery also rebuilds the record the next snapshot is spliced
+        from, by slicing the base text it CRC-checked and the folded
+        commit frames.  A base not in the canonical layout (a file this
+        journal did not write) is re-encoded once, here.
+
         Raises:
             JournalError: a WAL exists but neither a genesis frame nor
                 a snapshot does — there is no base state to replay onto.
@@ -481,8 +656,8 @@ class Journal:
             plan.check("journal.replay")
         if not self.exists():
             return None
-        base, notes = self._load_base()
-        frames, valid_bytes, damage = scan_frames(self.wal_path)
+        base, base_text, notes = self._load_base()
+        frames, texts, valid_bytes, damage = _scan(self.wal_path)
         if base is None:
             # No snapshot yet: the genesis frame must lead the WAL.
             if not frames or frames[0].get("op") != "genesis":
@@ -490,8 +665,8 @@ class Journal:
                     f"{self.wal_path} has no genesis frame and no snapshot "
                     f"exists; cannot reconstruct state"
                 )
-            base = frames[0]
-            frames = frames[1:]
+            base, base_text = frames[0], texts[0]
+            frames, texts = frames[1:], texts[1:]
 
         data = base["data"]
         universe = TokenUniverse(dict(data["universe"]))
@@ -499,9 +674,14 @@ class Journal:
         batches = data.get("batches")
         epoch = int(base["epoch"])
         seen = {ring.rid for ring in rings}
+        pieces = _slice_state(base_text, base) or (
+            ",".join(_ring_text(ring) for ring in rings),
+            _universe_text(universe),
+        )
 
         replayed = 0
-        for body in frames:
+        since: list[str] = []
+        for body, text in zip(frames, texts):
             if body.get("op") != "commit":
                 continue
             if int(body["epoch"]) <= epoch:
@@ -514,6 +694,8 @@ class Journal:
             seen.add(ring.rid)
             epoch = int(body["epoch"])
             replayed += 1
+            since.append(_slice_commit(text, body) or _ring_text(ring))
+        self._set_base(*pieces, since, max((ring.seq for ring in rings), default=-1))
 
         truncated = 0
         if damage is not None:

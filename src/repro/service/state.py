@@ -417,10 +417,7 @@ class ServiceState:
             head = self.commit(ring)
             if journal is not None:
                 journal.maybe_snapshot(
-                    head.epoch,
-                    head.universe,
-                    head.rings,
-                    None if partition is None else partition.batches,
+                    head.epoch, None if partition is None else partition.batches
                 )
         if telemetry is not None:
             telemetry.epoch_advanced(head.epoch, len(head.rings))

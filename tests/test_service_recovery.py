@@ -4,7 +4,9 @@ Four layers of pinning:
 
 * the WAL framing is tamper-evident and replayable — CRC framing,
   strict (epoch, seq) monotonicity, torn-tail truncation at the last
-  valid frame, snapshot compaction bounding the tail;
+  valid frame, snapshot compaction bounding the tail, every spliced
+  snapshot byte-identical to the reference encoder, and the fsync
+  order that makes a compaction durable;
 * a daemon rebuilt from snapshot + WAL answers **byte-identically** to
   an uncrashed twin that applied the same commits (the
   test_service_equivalence convention, minus execution coordinates);
@@ -28,6 +30,7 @@ import subprocess
 import sys
 import threading
 import time
+import zlib
 from pathlib import Path
 
 import pytest
@@ -50,7 +53,9 @@ from repro.service import (
     ShardRouter,
     TokenPartition,
 )
+from repro.service import journal as journal_module
 from repro.service.journal import (
+    _state_doc,
     decode_frame,
     encode_frame,
     metrics_lines,
@@ -193,7 +198,7 @@ def test_snapshot_compaction_bounds_wal_and_prunes(tmp_path):
                     c=1.0, ell=1, seq=i)
         rings.append(ring)
         journal.append_commit(i + 1, ring)
-        journal.maybe_snapshot(i + 1, universe, rings, None)
+        journal.maybe_snapshot(i + 1, None)
     journal.close()
 
     home = tmp_path / "j"
@@ -222,7 +227,7 @@ def test_recover_falls_back_past_a_corrupt_snapshot(tmp_path):
         rings.append(ring)
         journal.append_commit(i + 1, ring)
         if i == 1:
-            journal.write_snapshot(2, universe, rings, None)
+            journal.write_snapshot(2, None)
     journal.close()
     home = tmp_path / "j"
     # Corrupt the newest snapshot: recovery must skip it and fall back
@@ -372,6 +377,300 @@ def test_journal_stats_and_metrics_lines(tmp_path):
     assert metrics_lines(None, None) == ""
 
 
+# -- compaction from the journal's own text ----------------------------------
+
+#: Pieces of hostile names: JSON metacharacters, the delimiters the
+#: journal splices at, a newline and non-ASCII text.
+HOSTILE = ('"', "\\", "]", '],"universe":{', '},"epoch":', "\n", "é", "☃", " ", "x")
+
+
+def hostile(rng: random.Random, core: str) -> str:
+    """``core`` between two runs of up to three hostile pieces."""
+
+    def pad() -> str:
+        return "".join(rng.choice(HOSTILE) for _ in range(rng.randrange(4)))
+
+    return pad() + core + pad()
+
+
+def state_line(op, epoch, universe, rings, batches, seq=None) -> str:
+    """The reference encoding of a state frame: ``_state_doc`` of the full state."""
+    body = {
+        "version": 1,
+        "op": op,
+        "epoch": epoch,
+        "seq": max((r.seq for r in rings), default=-1) if seq is None else seq,
+        "data": _state_doc(universe, rings, batches),
+    }
+    return encode_frame(body) + "\n"
+
+
+def commit_body(epoch: int, ring: Ring, seq: int | None = None) -> dict:
+    return {
+        "version": 1,
+        "op": "commit",
+        "epoch": epoch,
+        "seq": ring.seq if seq is None else seq,
+        "token": ring.rid,
+        "data": ring_to_doc(ring),
+    }
+
+
+def state_tuple(epoch, rings, universe, batches) -> tuple:
+    return (epoch, list(rings), {t: universe.ht_of(t) for t in universe.tokens}, batches)
+
+
+def read_only_state(home: Path) -> tuple:
+    rec = Journal(home).recover(truncate=False)
+    return state_tuple(rec.epoch, rec.rings, rec.universe, rec.batches)
+
+
+def drive_random_journal(home: Path, rng: random.Random, tally: dict) -> None:
+    """Interleave commits, snapshots, reopens, torn tails and duplicate frames.
+
+    Every snapshot must equal the reference encoding of the full state,
+    a read-only recovery just before and just after it must agree, and
+    the WAL must hold exactly the reference frames appended since.
+    """
+    universe = TokenUniverse(
+        {
+            hostile(rng, f"t{i}"): hostile(rng, f"h{rng.randrange(3)}")
+            for i in range(rng.randrange(3, 9))
+        }
+    )
+    tokens = sorted(universe.tokens)
+    batches = rng.choice([None, 1, 4])
+    snapshot_every = rng.choice([0, 1, 2, 3])
+    counter = {"rid": 0, "seq": 0}
+
+    def new_ring() -> Ring:
+        ring = Ring(
+            hostile(rng, f"r{counter['rid']}"),
+            frozenset(rng.sample(tokens, rng.randrange(1, 4))),
+            c=rng.choice([1.0, 2.5, 1 / 3]),
+            ell=rng.randrange(1, 4),
+            seq=counter["seq"],
+        )
+        counter["rid"] += 1
+        counter["seq"] += rng.randrange(1, 3)
+        return ring
+
+    rings = [new_ring() for _ in range(rng.randrange(3))]
+    epoch = 0
+    wal = [state_line("genesis", 0, universe, rings, batches, seq=-1)]
+    duplicated_at = None
+    journal = Journal(home, sync_every=0, snapshot_every=snapshot_every)
+    journal.append_genesis(universe, rings, batches)
+
+    def compact(write) -> None:
+        before = read_only_state(home)
+        path = write()
+        assert path.read_text(encoding="utf-8") == state_line(
+            "snapshot", epoch, universe, rings, batches
+        )
+        after = read_only_state(home)
+        assert before == after == state_tuple(epoch, rings, universe, batches)
+        wal.clear()
+        tally["snapshots"] += 1
+
+    try:
+        for _ in range(12):
+            action = rng.choice(
+                ("commit", "commit", "commit", "snapshot", "reopen", "torn", "double")
+            )
+            if action == "commit":
+                ring = new_ring()
+                epoch += 1
+                journal.append_commit(epoch, ring)
+                rings.append(ring)
+                wal.append(encode_frame(commit_body(epoch, ring)) + "\n")
+                if journal.due_for_snapshot():
+                    compact(lambda: journal.maybe_snapshot(epoch, batches))
+                else:
+                    assert journal.maybe_snapshot(epoch, batches) is None
+            elif action == "snapshot":
+                compact(lambda: journal.write_snapshot(epoch, batches))
+            elif action == "double" and rings and duplicated_at != epoch:
+                # A retried append that slipped through: an applied
+                # ring's frame again, under a later key.
+                body = commit_body(epoch + 1, rng.choice(rings), seq=counter["seq"] - 1)
+                journal.append(body)
+                wal.append(encode_frame(body) + "\n")
+                duplicated_at = epoch
+                tally["duplicates"] += 1
+            elif action in ("reopen", "torn"):
+                journal.close()
+                if action == "torn":
+                    line = encode_frame(commit_body(epoch + 1, new_ring()))
+                    with open(home / "wal.jsonl", "a", encoding="utf-8") as handle:
+                        handle.write(line[: rng.randrange(1, len(line))])
+                    tally["torn"] += 1
+                base = "snapshot" if any(home.glob("snapshot-*.json")) else "genesis"
+                journal = Journal(home, sync_every=0, snapshot_every=snapshot_every)
+                rec = journal.recover()
+                assert state_tuple(rec.epoch, rec.rings, rec.universe, rec.batches) == (
+                    state_tuple(epoch, rings, universe, batches)
+                )
+                assert rec.recovery["torn_tail"] is (action == "torn")
+                tally[f"from_{base}"] += 1
+            assert (home / "wal.jsonl").read_text(encoding="utf-8") == "".join(wal)
+    finally:
+        journal.close()
+
+
+def test_spliced_snapshots_are_byte_identical_to_the_reference_encoder(tmp_path):
+    tally = {"snapshots": 0, "duplicates": 0, "torn": 0,
+             "from_genesis": 0, "from_snapshot": 0}
+    for seed in range(40):
+        drive_random_journal(tmp_path / f"j{seed}", random.Random(seed), tally)
+    # Every path above ran, several times over.
+    assert min(tally.values()) >= 5, tally
+
+
+def test_compaction_and_recovery_encode_no_ring(tmp_path, monkeypatch):
+    """A compacting commit copies text; recovery slices it.  Neither encodes a ring."""
+    universe = recovery_universe()
+    rings = [
+        Ring(f"g{i}", frozenset({f"t{i:02d}", f"t{i + 12:02d}"}), c=2.5, ell=2, seq=i)
+        for i in range(3)
+    ]
+    home = tmp_path / "j"
+    journal = Journal(home, sync_every=0, snapshot_every=4)
+    journal.append_genesis(universe, rings, 4)
+    encodes: list = []
+
+    def counting(fn):
+        def wrapper(*args):
+            encodes.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    for name in ("ring_to_doc", "_canonical"):
+        monkeypatch.setattr(journal_module, name, counting(getattr(journal_module, name)))
+
+    def commit(count: int) -> None:
+        for _ in range(count):
+            ring = Ring(f"c{len(rings)}", frozenset({f"t{len(rings) % 24:02d}"}),
+                        c=1.0, ell=1, seq=len(rings))
+            journal.append_commit(len(rings) - 2, ring)
+            rings.append(ring)
+
+    for _ in range(2):
+        commit(4)
+        encodes.clear()
+        path = journal.maybe_snapshot(len(rings) - 3, 4)
+        assert encodes == []
+        assert path.read_text(encoding="utf-8") == state_line(
+            "snapshot", len(rings) - 3, universe, rings, 4
+        )
+        # Recovery slices the snapshot and the WAL tail after it.
+        commit(2)
+        journal.close()
+        journal = Journal(home, sync_every=0, snapshot_every=4)
+        encodes.clear()
+        assert list(journal.recover().rings) == rings
+        assert encodes == []
+    journal.close()
+
+
+@pytest.mark.parametrize(
+    "dumps",
+    [
+        pytest.param(lambda body: json.dumps(body, sort_keys=True), id="whitespace"),
+        pytest.param(lambda body: json.dumps(body, separators=(",", ":")), id="key-order"),
+        pytest.param(
+            lambda body: json.dumps({**body, "note": "x"}, sort_keys=True, separators=(",", ":")),
+            id="extra-key",
+        ),
+    ],
+)
+def test_foreign_layout_recovers_and_next_snapshot_is_canonical(tmp_path, dumps):
+    """CRC-valid frames this journal did not write are re-encoded, never spliced."""
+    universe = recovery_universe()
+    rings = [
+        Ring(f"r{i}", frozenset({f"t{i:02d}", f"t{i + 8:02d}"}), c=2.5, ell=2, seq=i)
+        for i in range(4)
+    ]
+    home = tmp_path / "j"
+    home.mkdir()
+
+    def foreign_line(body: dict) -> str:
+        text = dumps(body)
+        return f"{zlib.crc32(text.encode('utf-8')):08x} {text}\n"
+
+    snapshot = {"version": 1, "op": "snapshot", "epoch": 3, "seq": 2,
+                "data": _state_doc(universe, rings[:3], 4)}
+    (home / "snapshot-00000003.json").write_text(foreign_line(snapshot))
+    (home / "wal.jsonl").write_text(foreign_line(commit_body(4, rings[3])))
+
+    journal = Journal(home, sync_every=1, snapshot_every=1)
+    recovered = journal.recover()
+    assert (recovered.epoch, list(recovered.rings), recovered.batches) == (4, rings, 4)
+    ring = Ring("r4", frozenset({"t20"}), c=1.0, ell=1, seq=4)
+    journal.append_commit(5, ring)
+    path = journal.maybe_snapshot(5, 4)
+    journal.close()
+    assert path.read_text(encoding="utf-8") == state_line(
+        "snapshot", 5, universe, rings + [ring], 4
+    )
+
+
+def test_snapshot_without_a_base_state_raises(tmp_path):
+    journal = Journal(tmp_path / "j", snapshot_every=1)
+    journal.append_commit(1, Ring("r0", frozenset({"t00"}), c=1.0, ell=1, seq=0))
+    with pytest.raises(JournalError, match="no base state"):
+        journal.maybe_snapshot(1, None)
+    journal.close()
+
+
+def test_directory_is_fsynced_after_rename_and_wal_creation(tmp_path, monkeypatch):
+    """POSIX makes a rename or a new file durable only once its directory is fsynced.
+
+    Order of a compaction: temp-file fsync, rename, directory fsync,
+    then WAL truncation and its fsync — a power loss can never leave
+    the previous snapshot beside an already-truncated WAL.  Creating
+    the WAL fsyncs the directory before the first frame is durable.
+    """
+    home = tmp_path / "j"
+    journal = Journal(home, sync_every=1, snapshot_every=1)
+    events: list[str] = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        inode = os.fstat(fd).st_ino
+        if inode == os.stat(home).st_ino:
+            events.append("fsync dir")
+        elif inode == os.stat(journal.wal_path).st_ino:
+            events.append("fsync wal")
+        else:
+            events.append("fsync tmp")
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append("rename")
+        real_replace(src, dst)
+
+    def tracked_open(path, mode="r", *args, **kwargs):
+        if Path(path) == journal.wal_path:
+            events.append(f"open wal {mode}")
+        return open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    monkeypatch.setattr(journal_module, "open", tracked_open, raising=False)
+
+    journal.append_genesis(recovery_universe(), (), None)
+    assert events == ["open wal a", "fsync dir", "fsync wal"]
+    events.clear()
+    journal.append_commit(1, Ring("r0", frozenset({"t00"}), c=1.0, ell=1, seq=0))
+    journal.maybe_snapshot(1, None)
+    assert events == [
+        "fsync wal", "fsync tmp", "rename", "fsync dir", "open wal w", "fsync wal",
+    ]
+    assert journal.stats()["fsyncs"] == 2  # WAL appends only
+    journal.close()
+
+
 # -- service-level recovery equivalence --------------------------------------
 
 
@@ -420,6 +719,7 @@ def test_daemon_recovery_matches_uncrashed_twin(tmp_path):
     # service; every commit frame is already fsynced.
 
     recovered = Journal(tmp_path / "j").recover()
+    journal.close()  # the crashed process's handle, once recovery has read the files
     assert recovered.epoch == 4
     assert recovered.batches == 4
     twin = SelectionService(
@@ -480,6 +780,7 @@ def test_recovered_twin_keeps_matching_after_a_further_commit(tmp_path):
             crashed.commit_ring(tokens, c=1.0, ell=1, rid=rid)
 
     recovered = Journal(tmp_path / "j").recover()
+    journal.close()  # the crashed process's handle, once recovery has read the files
     assert recovered.epoch == 4
     twin = SelectionService(
         recovered.universe,
@@ -633,6 +934,7 @@ def test_router_recovery_matches_uncrashed_twin(tmp_path):
             crashed.commit_ring(tokens, c=1.0, ell=1, rid=rid)
 
     recovered = Journal(tmp_path / "j").recover()
+    journal.close()  # the crashed process's handle, once recovery has read the files
     assert recovered.epoch == 4 and recovered.batches == 4
     with ShardRouter(
         recovered.universe,
@@ -883,18 +1185,23 @@ def start_daemon(sock: Path, journal: Path) -> subprocess.Popen:
     deadline = time.monotonic() + 20.0
     while time.monotonic() < deadline:
         if proc.poll() is not None:
-            raise AssertionError(
-                f"daemon exited early ({proc.returncode}): {proc.stderr.read()}"
-            )
+            _, err = proc.communicate()
+            raise AssertionError(f"daemon exited early ({proc.returncode}): {err}")
         try:
-            probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            probe.connect(str(sock))
-            probe.close()
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as probe:
+                probe.connect(str(sock))
             return proc
         except OSError:
             time.sleep(0.05)
     proc.kill()
+    reap(proc)
     raise AssertionError("daemon never became ready")
+
+
+def reap(proc: subprocess.Popen, timeout: float | None = None) -> None:
+    """Wait for a daemon started by :func:`start_daemon`; close its stderr pipe."""
+    proc.wait(timeout=timeout)
+    proc.stderr.close()
 
 
 @pytest.mark.slow
@@ -953,7 +1260,7 @@ def test_sigkill_soak_recovers_byte_identical(tmp_path):
                 time.sleep(0.01)
             time.sleep(rng.uniform(0.0, 0.1))
             proc.kill()  # SIGKILL — no cleanup, no flush, no goodbye
-            proc.wait()
+            reap(proc)
             proc = start_daemon(sock, journal_dir)
         driver.join(timeout=120.0)
         assert not driver.is_alive(), "driver never finished"
@@ -987,13 +1294,13 @@ def test_sigkill_soak_recovers_byte_identical(tmp_path):
                 assert live.epoch == len(commits)
                 assert canon(live) == canon(local)
         client.shutdown()
-        proc.wait(timeout=30.0)
+        reap(proc, timeout=30.0)
         proc = None
     finally:
         client.close()
         if proc is not None:
             proc.kill()
-            proc.wait()
+            reap(proc)
 
     # The journal on disk is internally consistent (the fsck pass).
     recovered = Journal(journal_dir).recover(truncate=False)
@@ -1016,12 +1323,12 @@ def test_serve_refuses_second_daemon_on_same_journal(tmp_path):
         assert "refusing" in second.stderr
         with ServiceClient(sock) as client:
             client.shutdown()
-        proc.wait(timeout=30.0)
+        reap(proc, timeout=30.0)
         proc = None
     finally:
         if proc is not None:
             proc.kill()
-            proc.wait()
+            reap(proc)
     # The first daemon exited cleanly: its pidfile is gone, so a
     # restart owns the journal again (and replays genesis).
     third = start_daemon(sock, journal_dir)
@@ -1029,9 +1336,9 @@ def test_serve_refuses_second_daemon_on_same_journal(tmp_path):
         with ServiceClient(sock) as client:
             assert client.epoch()["epoch"] == 0
             client.shutdown()
-        third.wait(timeout=30.0)
+        reap(third, timeout=30.0)
         third = None
     finally:
         if third is not None:
             third.kill()
-            third.wait()
+            reap(third)
