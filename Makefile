@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-nonumpy lint chaos bench-smoke bench docs telemetry-smoke shard-smoke recover-smoke servebench-smoke verify
+.PHONY: test lint chaos bench-smoke bench docs telemetry-smoke shard-smoke recover-smoke servebench-smoke verify
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -9,11 +9,10 @@ test:
 lint:
 	ruff check src tests benchmarks
 
-# Fault-injection suite: worker death, budget trips, corrupted
-# checkpoints, clock skew — run with a 2-worker pool so the
-# supervision paths actually fan out.
+# Fault-injection suite: budget trips, cache corruption, clock skew,
+# chain-load I/O errors, and the ladder's fail-closed rungs.
 chaos:
-	REPRO_CHAOS_WORKERS=2 $(PYTHON) -m pytest tests/test_failure_injection.py tests/test_resilience.py -q
+	$(PYTHON) -m pytest tests/test_failure_injection.py tests/test_resilience.py -q
 
 # Sub-minute perf guard: the before/after BFS ladder (writes
 # benchmarks/results/BENCH_bfs.json) with tight caps — the seed
@@ -36,11 +35,6 @@ bench:
 shard-smoke:
 	$(PYTHON) -m pytest tests/test_service_shard.py -q
 	REPRO_BENCH_SHARD_SMOKE=1 PYTHONPATH=src:benchmarks $(PYTHON) benchmarks/bench_shard.py
-
-# Tier-1 with the numpy-free kernel backend: proves the optional perf
-# extra never becomes load-bearing (CI runs the same split).
-test-nonumpy:
-	REPRO_KERNEL_BACKEND=python $(PYTHON) -m pytest -x -q
 
 # Documentation gate: every markdown link/anchor resolves and every
 # public-API docstring example still runs.
@@ -83,4 +77,4 @@ recover-smoke:
 servebench-smoke:
 	$(PYTHON) -m pytest servebench/test_servebench.py -q
 
-verify: test test-nonumpy chaos bench-smoke shard-smoke recover-smoke telemetry-smoke servebench-smoke docs
+verify: test chaos bench-smoke shard-smoke recover-smoke telemetry-smoke servebench-smoke docs

@@ -75,7 +75,7 @@ def resilience_summary(recorder: obs_metrics.MemoryRecorder) -> dict:
 
     Degradation/retry/fault counters (see ``repro.obs.events``) land in
     every bench artifact so a PR that starts degrading rings or
-    retrying chunks shows up in the perf history, not just in prose.
+    retrying worker calls shows up in the perf history, not just in prose.
     """
     counters = recorder.counters
     return {
@@ -83,8 +83,6 @@ def resilience_summary(recorder: obs_metrics.MemoryRecorder) -> dict:
         "retries": counters.get("resilience.retries", 0),
         "worker_lost": counters.get("resilience.worker_lost", 0),
         "faults_injected": counters.get("resilience.faults", 0),
-        "checkpoints": counters.get("resilience.checkpoints", 0),
-        "resumes": counters.get("resilience.resumes", 0),
         "fail_closed": counters.get("resilience.fail_closed", 0),
     }
 

@@ -15,10 +15,9 @@ Claims asserted:
   is >= 3x faster,
 * the whole bench stays under a budget-scaled time box.
 
-The artifact also records which kernel backend
-(:mod:`repro.core.perf.kernels`) the optimized run used and its
-batch-size histogram, so perf history distinguishes backend changes
-from algorithmic ones.
+The artifact also records the batch kernel's work in the optimized
+run (:mod:`repro.core.perf.kernels`: batches, candidates, states built
+and the batch-size histogram).
 
 Budgets are env-overridable: REPRO_BENCH_OPT_BUDGET (per-ring budget
 for the optimized run, default 10 s), REPRO_BENCH_REF_BUDGET (seed
@@ -36,7 +35,6 @@ import random
 import time
 
 from repro.core.bfs import SearchBudgetExceeded, bfs_select
-from repro.core.perf.kernels import active_backend_name
 from repro.core.perf.reference import bfs_select_reference
 from repro.core.problem import DamsInstance, InfeasibleError
 from repro.core.ring import Ring, TokenUniverse
@@ -171,7 +169,6 @@ def test_bfs_perf_layer_speedup():
     snapshot = recorder.snapshot()
     kernel_counters = snapshot.get("counters", {})
     kernel = {
-        "backend": active_backend_name(),
         "batches": kernel_counters.get("kernel.batches", 0),
         "candidates": kernel_counters.get("kernel.candidates", 0),
         "states_built": kernel_counters.get("kernel.states", 0),
@@ -219,10 +216,9 @@ def test_bfs_perf_layer_speedup():
     batch_hist = kernel["batch_size"] or {}
     mean_batch = batch_hist.get("sum", 0) / max(batch_hist.get("count", 0), 1)
     lines.append(
-        f"kernel backend: {kernel['backend']} "
-        f"({kernel['batches']} batches, {kernel['candidates']} candidates, "
+        f"kernel: {kernel['batches']} batches, {kernel['candidates']} candidates, "
         f"mean batch {mean_batch:.1f}, "
-        f"{kernel['states_built']} states built)"
+        f"{kernel['states_built']} states built"
     )
     text = "\n".join(lines)
     save_text("BENCH_bfs.txt", text)

@@ -24,9 +24,8 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from ..core.perf.matching import IncrementalMatcher
-from ..obs import events, trace
-from ..core.perf.parallel import parallel_map_rings, resolve_workers
 from ..core.ring import Ring
+from ..obs import events, trace
 
 __all__ = ["AttackResult", "cascade_attack", "exact_analysis"]
 
@@ -110,7 +109,6 @@ def cascade_attack(
 def exact_analysis(
     rings: Sequence[Ring],
     side_information: Mapping[str, str] | None = None,
-    workers: int = 0,
 ) -> AttackResult:
     """Matching-based exact possibility analysis.
 
@@ -118,11 +116,6 @@ def exact_analysis(
     all side information) still admits a complete token-RS combination.
     One maximum matching is shared by every query; each query is a
     single augmenting-path repair.
-
-    Args:
-        workers: fan the per-ring sweep across this many processes
-            (<= 1 means serial).  The result is identical either way —
-            each ring's possible set is independent of sweep order.
 
     Example — a zero-mixin ring pins itself, and because every token
     is consumed exactly once, it drags its neighbour down with it:
@@ -137,7 +130,7 @@ def exact_analysis(
         >>> result.deanonymization_rate
         1.0
     """
-    with trace.span("attack.exact", rings=len(rings), workers=workers) as sp:
+    with trace.span("attack.exact", rings=len(rings)) as sp:
         forced = dict(side_information or {})
         by_rid = {ring.rid: ring for ring in rings}
         matcher = IncrementalMatcher(rings, forced)
@@ -146,15 +139,9 @@ def exact_analysis(
             return _result_from_possible(
                 by_rid, {ring.rid: set() for ring in rings}
             )
-        workers = resolve_workers(workers)
-        if workers:
-            fanned = parallel_map_rings(rings, forced, workers)
-            possible = {rid: set(tokens) for rid, tokens in fanned.items()}
-        else:
-            possible = {
-                ring.rid: set(matcher.possible_tokens(ring.rid))
-                for ring in rings
-            }
+        possible = {
+            ring.rid: set(matcher.possible_tokens(ring.rid)) for ring in rings
+        }
         result = _result_from_possible(by_rid, possible)
         if sp is not None:
             sp.attrs["deanonymized"] = len(result.deanonymized)

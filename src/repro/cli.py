@@ -6,7 +6,7 @@ Usage::
     python -m repro.cli fig5 --instances 100 --seed 3
     python -m repro.cli fig4 --budget 30
     python -m repro.cli sim --ticks 20
-    python -m repro.cli select --rings 4 --budget 5 --checkpoint cp.json
+    python -m repro.cli select --rings 4 --budget 5
     python -m repro.cli serve --socket /tmp/repro.sock
     python -m repro.cli client --socket /tmp/repro.sock --target t03
     python -m repro.cli client --socket /tmp/repro.sock --stats
@@ -89,7 +89,6 @@ def _run_fig4(args: argparse.Namespace) -> None:
         max_rings=args.max_rings,
         time_budget=args.budget,
         seed=args.seed,
-        workers=args.workers,
     )
     print(f"{'i-th RS':>8} | {'time (s)':>10} | {'ring size':>9} | outcome")
     print("-" * 48)
@@ -143,7 +142,6 @@ def _run_select(args: argparse.Namespace) -> int:
     from .core.problem import DamsInstance, InfeasibleError
     from .core.ring import Ring, TokenUniverse
     from .resilience.ladder import ladder_select
-    from .resilience.supervisor import RetryPolicy
 
     rng = random.Random(args.seed)
     universe = TokenUniverse(
@@ -151,7 +149,6 @@ def _run_select(args: argparse.Namespace) -> int:
     )
     rings: list[Ring] = []
     consumed: set[str] = set()
-    resume = args.resume
     degraded = 0
 
     print(f"{'ring':>4} | {'target':>6} | {'size':>4} | {'rung':>11} | claim")
@@ -166,25 +163,12 @@ def _run_select(args: argparse.Namespace) -> int:
         )
         try:
             if args.exact_only:
-                solved = bfs_select(
-                    instance,
-                    time_budget=args.budget,
-                    workers=args.workers,
-                    supervision=RetryPolicy() if args.workers > 1 else None,
-                    checkpoint_path=args.checkpoint,
-                    resume_from=resume,
-                )
+                solved = bfs_select(instance, time_budget=args.budget)
                 tokens, rung = solved.ring.tokens, "exact"
                 claimed_c, claimed_ell = args.c, args.ell
             else:
                 outcome = ladder_select(
-                    instance,
-                    time_budget=args.budget,
-                    workers=args.workers,
-                    supervision=RetryPolicy() if args.workers > 1 else None,
-                    checkpoint_path=args.checkpoint,
-                    resume_from=resume,
-                    rng=rng,
+                    instance, time_budget=args.budget, rng=rng
                 )
                 tokens, rung = outcome.result.tokens, outcome.rung
                 claimed_c, claimed_ell = outcome.claimed_c, outcome.claimed_ell
@@ -201,7 +185,6 @@ def _run_select(args: argparse.Namespace) -> int:
             print(f"{ring_index + 1:>4} | {target:>6} | {'-':>4} | "
                   f"{'infeasible':>11} | -")
             break
-        resume = None  # a checkpoint resumes only the first generation
         print(f"{ring_index + 1:>4} | {target:>6} | {len(tokens):>4} | "
               f"{rung:>11} | ({claimed_c}, {claimed_ell})")
         rings.append(
@@ -326,7 +309,6 @@ def _run_serve(args: argparse.Namespace) -> int:
                     max_batch=args.max_batch,
                     linger_s=args.batch_wait,
                     default_budget=args.budget,
-                    workers=args.workers,
                     fault_plan=fault_doc,
                     telemetry=not args.no_telemetry,
                     journal=journal,
@@ -340,7 +322,6 @@ def _run_serve(args: argparse.Namespace) -> int:
                 max_batch=args.max_batch,
                 linger_s=args.batch_wait,
                 default_budget=args.budget,
-                workers=args.workers,
                 fault_plan=fault_doc,
                 telemetry=not args.no_telemetry,
                 partition=batches,
@@ -500,9 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="batch universe size (paper: 20)")
     fig4.add_argument("--max-rings", type=int, default=6,
                       help="how many sequential rings to generate")
-    fig4.add_argument("--workers", type=int, default=0,
-                      help="processes for the candidate scan "
-                           "(<=1 serial; results identical)")
 
     for name, help_text in [
         ("fig5", "vary c (real)"),
@@ -539,14 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="how many sequential rings to generate")
     select.add_argument("--budget", type=float, default=None,
                         help="per-ring wall-clock budget in seconds")
-    select.add_argument("--workers", type=int, default=0,
-                        help="processes for the exact scan (supervised "
-                             "when > 1)")
-    select.add_argument("--checkpoint", metavar="PATH", default=None,
-                        help="write stratum-boundary BFS checkpoints here")
-    select.add_argument("--resume", metavar="PATH", default=None,
-                        help="resume the first generation from this "
-                             "checkpoint")
     select.add_argument("--exact-only", action="store_true",
                         help="no degradation ladder: a budget trip exits "
                              f"{EXIT_BUDGET_EXCEEDED}")
@@ -572,8 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "request is waiting")
     serve.add_argument("--budget", type=float, default=None,
                        help="default per-request exact-search budget (s)")
-    serve.add_argument("--workers", type=int, default=0,
-                       help="process fan-out per request's candidate scan")
     serve.add_argument("--no-telemetry", action="store_true",
                        help="disable the request-lifecycle telemetry "
                             "(stats stays the flat counter payload; "
@@ -682,7 +650,6 @@ def main(argv: list[str] | None = None) -> int:
 
     from .core.bfs import SearchBudgetExceeded
     from .resilience import faults
-    from .resilience.checkpoint import CheckpointError
     from .resilience.ladder import ConstraintViolation
 
     tracer = obs_trace.Tracer() if trace_out is not None else None
@@ -700,16 +667,8 @@ def main(argv: list[str] | None = None) -> int:
             code = _dispatch(args)
     except SearchBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if getattr(exc, "checkpoint_path", None) is not None:
-            print(f"checkpoint written to {exc.checkpoint_path}; resume "
-                  f"with --resume", file=sys.stderr)
         return EXIT_BUDGET_EXCEEDED
     except ConstraintViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONSTRAINT_VIOLATION
-    except CheckpointError as exc:
-        # Corrupted or mismatched resume data: same sysexits family as
-        # the fail-closed path (EX_DATAERR).
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONSTRAINT_VIOLATION
     finally:

@@ -1,4 +1,4 @@
-"""Solver performance layer: shared-work caching and parallel fan-out.
+"""Solver performance layer: shared-work caching and batch kernels.
 
 The exact pipeline (Algorithm 2's BFS over mixin sets, Algorithm 3's
 DTRS enumeration, and the matching-based chain-reaction analysis) is
@@ -20,15 +20,10 @@ answer:
   maximum bipartite matching per ring set; every "can ring r consume
   token t?" query is answered with a single augmenting-path repair
   instead of a full Kuhn run.
-* :mod:`~repro.core.perf.parallel` — opt-in multiprocessing fan-out for
-  the BFS candidate stream and the per-ring chain-reaction sweep, with
-  a deterministic first-feasible-in-lexicographic-order winner so the
-  parallel results are identical to serial.
 * :mod:`~repro.core.perf.kernels` — columnar batch kernels: whole
   strata of candidates are resolved against one cached base world set
-  via factorized slice masks (bulk extension, batched HT filtering, a
-  size-0/1/2 DTRS pre-sweep), with interchangeable pure-python and
-  numpy mask backends selected by ``REPRO_KERNEL_BACKEND``.
+  via factorized big-integer slice masks (bulk extension, batched HT
+  filtering, an early-exit DTRS sweep).
 * :mod:`~repro.core.perf.reference` — the seed (pre-optimization)
   algorithms, kept verbatim so equivalence tests and the
   ``BENCH_bfs.json`` benchmark can prove the fast path returns the same
@@ -36,17 +31,8 @@ answer:
 """
 
 from .cache import SolverCache
-from .kernels import (
-    KernelBackend,
-    KernelState,
-    active_backend,
-    active_backend_name,
-    available_backends,
-    prefilter_chunk,
-    use_backend,
-)
+from .kernels import KernelBackend, KernelState, prefilter_chunk
 from .matching import IncrementalMatcher
-from .parallel import parallel_map_rings, resolve_workers
 from .worlds import WorldSet
 
 __all__ = [
@@ -55,11 +41,5 @@ __all__ = [
     "WorldSet",
     "KernelBackend",
     "KernelState",
-    "active_backend",
-    "active_backend_name",
-    "available_backends",
     "prefilter_chunk",
-    "use_backend",
-    "parallel_map_rings",
-    "resolve_workers",
 ]

@@ -30,6 +30,7 @@ from typing import Iterable, Sequence
 from ...obs import events
 from ...resilience import faults
 from ..ring import Ring, TokenUniverse
+from .kernels import BACKEND, KernelState
 from .worlds import WorldSet
 
 __all__ = ["SolverCache", "CacheStats", "CacheAdvance"]
@@ -92,11 +93,11 @@ class SolverCache:
         self._components: list[_Component] = []
         self._build_components()
         self._worlds: dict[frozenset[int], WorldSet] = {}
-        # (key, backend name) -> (source WorldSet, KernelState).  Keyed
-        # by WorldSet identity so a chaos-dropped worlds entry also
-        # invalidates the kernel state derived from it.
+        # key -> (source WorldSet, KernelState).  The source is kept so
+        # a chaos-dropped worlds entry also invalidates the kernel state
+        # derived from it.
         self._kernel_states: dict[
-            tuple[frozenset[int], str], tuple[WorldSet, object]
+            frozenset[int], tuple[WorldSet, KernelState]
         ] = {}
 
     # -- component decomposition ------------------------------------------
@@ -203,9 +204,9 @@ class SolverCache:
             if key.isdisjoint(touched)
         }
         new._kernel_states = {
-            state_key: entry
-            for state_key, entry in kernel_snapshot.items()
-            if state_key[0].isdisjoint(touched)
+            key: entry
+            for key, entry in kernel_snapshot.items()
+            if key.isdisjoint(touched)
         }
         report = CacheAdvance(
             touched_components=touched,
@@ -241,10 +242,6 @@ class SolverCache:
 
     # -- shared world prefixes --------------------------------------------
 
-    def worlds_keys(self) -> tuple[tuple[int, ...], ...]:
-        """The cached world keys, canonically ordered (for checkpoints)."""
-        return tuple(sorted(tuple(sorted(key)) for key in self._worlds))
-
     def base_worlds(self, key: frozenset[int], deadline: float | None = None) -> WorldSet:
         """The (cached) WorldSet of the related rings under ``key``."""
         plan = faults.active()
@@ -267,8 +264,8 @@ class SolverCache:
         return worlds
 
     def kernel_state(
-        self, key: frozenset[int], backend, deadline: float | None = None
-    ):
+        self, key: frozenset[int], deadline: float | None = None
+    ) -> KernelState:
         """The (cached) batch-kernel state of the base worlds under ``key``.
 
         Routes through :meth:`base_worlds` every call — the state is
@@ -277,20 +274,15 @@ class SolverCache:
         :class:`WorldSet` and therefore a rebuilt state.
         """
         worlds = self.base_worlds(key, deadline=deadline)
-        state_key = (key, backend.name)
-        entry = self._kernel_states.get(state_key)
+        entry = self._kernel_states.get(key)
         if entry is not None and entry[0] is worlds:
             return entry[1]
         self.stats.kernel_builds += 1
-        state = backend.build_state(worlds, self.universe)
-        self._kernel_states[state_key] = (worlds, state)
+        state = BACKEND.build_state(worlds, self.universe)
+        self._kernel_states[key] = (worlds, state)
         if events.enabled():
             events.emit(
-                events.KernelStateBuilt(
-                    rings=len(worlds.rings),
-                    worlds=len(worlds),
-                    backend=backend.name,
-                )
+                events.KernelStateBuilt(rings=len(worlds.rings), worlds=len(worlds))
             )
         return state
 

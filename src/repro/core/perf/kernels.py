@@ -38,37 +38,19 @@ materializing a single extended world:
 including the first ``feasible`` one: Algorithm 2 stops at a stratum's
 first feasible candidate, and the candidates after it are often
 feasible too, so resolving them would pay the full sweep for verdicts
-no one reads.  Verdicts are pure functions of (instance, candidate) —
-never of chunk composition or worker placement — so the batched solver
-emits byte-for-byte the counters and results of the per-candidate one
-(pinned by the equivalence suites).
+no one reads.  Verdicts are pure functions of (instance, candidate),
+never of how the stream was chunked, and each names the gate the seed
+per-candidate check fails first (``tests/test_perf_kernels.py`` pins
+them against the frozen seed in :mod:`~repro.core.perf.reference`).
 
-Two interchangeable backends implement the mask algebra behind one
-interface, mirroring the :mod:`~repro.core.perf.reference` equivalence
-pattern:
-
-* ``python`` — big-integer bitmasks built from the WorldSet's interned
-  pair masks; always available;
-* ``numpy`` — boolean arrays built vectorized from the columnar world
-  table (install the ``perf`` extra).
-
-Selection happens at import from the ``REPRO_KERNEL_BACKEND`` env var
-(``auto`` | ``python`` | ``numpy`` | ``off``); ``off`` disables
-batching entirely and the solver runs its original per-candidate loop.
-``auto`` picks ``python``: CPython's big-integer ``&``/``|`` on the
-few-dozen-world masks the exact pipeline actually reaches beats numpy's
-per-operation dispatch overhead by ~5x on the bench ladder — numpy is
-the opt-in backend for world sets large enough to amortize it (and the
-proof, via the equivalence suite, that the mask algebra is
-representation-independent).  Tests switch backends with the
-:func:`use_backend` context manager.
+The masks are CPython big integers built from the WorldSet's interned
+pair masks: at the few-dozen-world sets the exact pipeline reaches,
+``&``/``|`` on them costs less than any vectorized dispatch would.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import combinations as subset_combinations
 from typing import Iterable, Sequence
@@ -80,32 +62,15 @@ from .worlds import _DEADLINE_STRIDE, DeadlineExceeded, WorldSet
 
 __all__ = [
     "KERNEL_BATCH_SIZE",
-    "ENV_BACKEND",
+    "BACKEND",
     "KernelBackend",
     "KernelState",
     "Extension",
-    "active_backend",
-    "active_backend_name",
-    "available_backends",
-    "resolve_backend",
-    "use_backend",
     "prefilter_chunk",
 ]
 
-#: Candidates per batched pre-filter call.  Matches the parallel
-#: fan-out's BFS_CHUNK_SIZE so one worker chunk is one kernel batch.
+#: Candidates per batched pre-filter call.
 KERNEL_BATCH_SIZE = 64
-
-#: Environment override for the backend choice, read at import.
-ENV_BACKEND = "REPRO_KERNEL_BACKEND"
-
-
-def _import_numpy():
-    try:
-        import numpy
-    except Exception:  # pragma: no cover - exercised via monkeypatch
-        return None
-    return numpy
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,8 +84,8 @@ class Extension:
     them.
     """
 
-    slices: dict
-    union: object
+    slices: dict[str, int]
+    union: int
     count: int
 
 
@@ -137,54 +102,35 @@ class _Row:
 
 
 class KernelState:
-    """Backend-built columnar masks of one cached base world set.
+    """Columnar masks of one cached base world set.
 
     Holds, per base ring position, the (token -> world mask) and
     (HT -> world mask) tables, plus the global token-presence masks —
     everything :meth:`verdict_of` needs to resolve a candidate with a
-    handful of mask operations.  Mask algebra (``&``, ``|``, ``~``) is
-    shared between backends; only ``any_`` (mask non-emptiness),
-    ``popcount`` and the builders differ.
+    handful of mask operations.  Bit ``w`` of a mask is set iff base
+    world ``w`` is in it; ``full`` has every world's bit.
     """
 
-    __slots__ = (
-        "backend_name",
-        "rows",
-        "presence",
-        "full",
-        "zero",
-        "worlds_count",
-        "any_",
-        "popcount",
-    )
+    __slots__ = ("rows", "presence", "full")
 
-    def __init__(
-        self, backend_name, rows, presence, full, zero, worlds_count, any_, popcount
-    ) -> None:
-        self.backend_name = backend_name
+    def __init__(self, rows: list[_Row], presence: dict[str, int], full: int) -> None:
         self.rows = rows
         self.presence = presence
         self.full = full
-        self.zero = zero
-        self.worlds_count = worlds_count
-        self.any_ = any_
-        self.popcount = popcount
 
     # -- bulk world extension ---------------------------------------------
 
     def extend_one(self, tokens: Iterable[str]) -> Extension:
         """Factorized extension of the base table by one candidate row."""
-        any_ = self.any_
-        slices: dict = {}
-        union = self.zero
+        slices: dict[str, int] = {}
+        union = 0
         count = 0
         for name in sorted(tokens):
             held = self.presence.get(name)
             free = self.full if held is None else self.full & ~held
             slices[name] = free
-            union = union | free
-            if any_(free):
-                count += self.popcount(free)
+            union |= free
+            count += free.bit_count()
         return Extension(slices=slices, union=union, count=count)
 
     def extend_batch(self, candidates: Sequence[Iterable[str]]) -> list[Extension]:
@@ -203,8 +149,8 @@ class KernelState:
     ) -> str:
         """Resolve one candidate against the base table.
 
-        Returns ``"eliminated"`` / ``"dtrs"`` (exact infeasibility; the
-        gate name matches the per-candidate path's event) or
+        Returns ``"eliminated"`` / ``"dtrs"`` (exact infeasibility,
+        named after the seed check that fails first) or
         ``"feasible"`` (exact; the complete DTRS sweep found no
         violating minimal DTRS for any closure ring).  The candidate's
         own HT gate is the caller's job (it needs no kernel state).
@@ -220,10 +166,9 @@ class KernelState:
         Raises:
             DeadlineExceeded: the sweep passed ``deadline``.
         """
-        any_ = self.any_
         extension = self.extend_one(tokens)
         union = extension.union
-        if not any_(union):
+        if not union:
             return "eliminated"
 
         # Non-eliminated over the closure: every base ring keeps every
@@ -232,34 +177,34 @@ class KernelState:
             token_masks = row.token_masks
             for name in row.ring.tokens:
                 mask = token_masks.get(name)
-                if mask is None or not any_(mask & union):
+                if mask is None or not mask & union:
                     return "eliminated"
-        for name, free in extension.slices.items():
-            if not any_(free):
+        for free in extension.slices.values():
+            if not free:
                 return "eliminated"
 
         # HT grouping of the candidate row's slices (tokens sharing an
         # HT merge — determination is about HTs, not tokens).
-        slice_ht: dict[str, object] = {}
+        slice_ht: dict[str, int] = {}
         for name, free in extension.slices.items():
             ht = universe.ht_of(name)
             held = slice_ht.get(ht)
             slice_ht[ht] = free if held is None else held | free
 
-        def det_base(row: _Row, mask) -> str | None:
+        def det_base(row: _Row, mask: int) -> str | None:
             # mask is already restricted to realizable extended worlds
             # (nonzero, intersected with union or a slice).
             for ht, ht_mask in row.ht_masks.items():
-                if not any_(mask & ~ht_mask):
+                if not mask & ~ht_mask:
                     return ht
             return None
 
-        def det_cand(mask) -> str | None:
+        def det_cand(mask: int) -> str | None:
             # Determined HT of the candidate row under a base mask: the
             # unique slice-HT the mask touches (None if zero or many).
             found = None
             for ht, ht_mask in slice_ht.items():
-                if any_(mask & ht_mask):
+                if mask & ht_mask:
                     if found is not None:
                         return None
                     found = ht
@@ -347,8 +292,7 @@ class KernelState:
                     # realizable iff the accumulated base mask still
                     # intersects it.
                     for name, free in position_pairs:
-                        restricted = base_mask & free
-                        if not any_(restricted):
+                        if not base_mask & free:
                             continue
                         if descend(
                             depth + 1, chosen, base_mask, name,
@@ -361,7 +305,7 @@ class KernelState:
                     realizable = narrowed & (
                         union if slice_name is None else slices[slice_name]
                     )
-                    if not any_(realizable):
+                    if not realizable:
                         continue
                     if descend(
                         depth + 1, chosen, narrowed, slice_name,
@@ -385,154 +329,34 @@ class KernelState:
 
 
 class KernelBackend:
-    """One mask-algebra implementation behind the kernel interface."""
+    """Builds a :class:`KernelState` from a cached base world set.
 
-    __slots__ = ("name", "_build")
+    Every state build goes through :meth:`build_state` on the one
+    instance, :data:`BACKEND` (servebench's launcher times builds by
+    wrapping this method).
+    """
 
-    def __init__(self, name: str, build) -> None:
-        self.name = name
-        self._build = build
+    __slots__ = ()
 
     def build_state(self, worlds: WorldSet, universe: TokenUniverse) -> KernelState:
-        return self._build(worlds, universe)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging nicety
-        return f"KernelBackend({self.name!r})"
-
-
-# -- pure-python backend (big-integer bitmasks) -----------------------------
-
-
-def _build_state_python(worlds: WorldSet, universe: TokenUniverse) -> KernelState:
-    masks = worlds.pair_masks()
-    presence: dict[str, int] = {}
-    rows: list[_Row] = []
-    for position, ring in enumerate(worlds.rings):
-        token_masks: dict[str, int] = {}
-        ht_masks: dict[str, int] = {}
-        for token in worlds.tokens_by_position()[position]:
-            mask = masks[(position, token)]
-            name = worlds.token_name(token)
-            token_masks[name] = mask
-            presence[name] = presence.get(name, 0) | mask
-            ht = universe.ht_of(name)
-            ht_masks[ht] = ht_masks.get(ht, 0) | mask
-        rows.append(_Row(ring, token_masks, ht_masks))
-    return KernelState(
-        backend_name="python",
-        rows=rows,
-        presence=presence,
-        full=worlds.full_mask,
-        zero=0,
-        worlds_count=len(worlds),
-        any_=lambda mask: mask != 0,
-        popcount=lambda mask: mask.bit_count(),
-    )
+        masks = worlds.pair_masks()
+        presence: dict[str, int] = {}
+        rows: list[_Row] = []
+        for position, ring in enumerate(worlds.rings):
+            token_masks: dict[str, int] = {}
+            ht_masks: dict[str, int] = {}
+            for token in worlds.tokens_by_position()[position]:
+                mask = masks[(position, token)]
+                name = worlds.token_name(token)
+                token_masks[name] = mask
+                presence[name] = presence.get(name, 0) | mask
+                ht = universe.ht_of(name)
+                ht_masks[ht] = ht_masks.get(ht, 0) | mask
+            rows.append(_Row(ring, token_masks, ht_masks))
+        return KernelState(rows, presence, worlds.full_mask)
 
 
-# -- numpy backend (vectorized boolean columns) -----------------------------
-
-
-def _build_state_numpy(worlds: WorldSet, universe: TokenUniverse) -> KernelState:
-    np = _import_numpy()
-    assert np is not None, "numpy backend built without numpy importable"
-    count = len(worlds)
-    full = np.ones(count, dtype=bool)
-    zero = np.zeros(count, dtype=bool)
-    presence: dict[str, object] = {}
-    rows: list[_Row] = []
-    for position, ring in enumerate(worlds.rings):
-        column = np.frombuffer(worlds.columns[position], dtype=np.intc)
-        token_masks: dict[str, object] = {}
-        ht_masks: dict[str, object] = {}
-        for token in np.unique(column).tolist():
-            mask = column == token
-            name = worlds.token_name(token)
-            token_masks[name] = mask
-            held = presence.get(name)
-            presence[name] = mask if held is None else held | mask
-            ht = universe.ht_of(name)
-            held = ht_masks.get(ht)
-            ht_masks[ht] = mask if held is None else held | mask
-        rows.append(_Row(ring, token_masks, ht_masks))
-    return KernelState(
-        backend_name="numpy",
-        rows=rows,
-        presence=presence,
-        full=full,
-        zero=zero,
-        worlds_count=count,
-        any_=lambda mask: bool(mask.any()),
-        popcount=lambda mask: int(mask.sum()),
-    )
-
-
-PYTHON_BACKEND = KernelBackend("python", _build_state_python)
-NUMPY_BACKEND = KernelBackend("numpy", _build_state_numpy)
-
-
-def available_backends() -> list[str]:
-    """Backend names importable in this interpreter."""
-    names = ["python"]
-    if _import_numpy() is not None:
-        names.append("numpy")
-    return names
-
-
-def resolve_backend(name: str | None = None) -> KernelBackend | None:
-    """Map a backend name (or the env override) to a backend, None = off.
-
-    Raises:
-        RuntimeError: ``numpy`` was requested explicitly but is not
-            importable (install the ``perf`` extra).
-        ValueError: unknown backend name.
-    """
-    if name is None:
-        name = os.environ.get(ENV_BACKEND, "auto")
-    name = name.strip().lower() or "auto"
-    if name == "off":
-        return None
-    if name == "python":
-        return PYTHON_BACKEND
-    if name == "numpy":
-        if _import_numpy() is None:
-            raise RuntimeError(
-                "REPRO_KERNEL_BACKEND=numpy but numpy is not importable; "
-                "install the 'perf' extra (pip install .[perf]) or choose "
-                "'python'/'auto'"
-            )
-        return NUMPY_BACKEND
-    if name == "auto":
-        # Measured on the bench ladder: big-int masks win at the world
-        # counts the exact pipeline reaches; numpy stays explicit.
-        return PYTHON_BACKEND
-    raise ValueError(
-        f"unknown kernel backend {name!r} (expected auto|python|numpy|off)"
-    )
-
-
-_ACTIVE: KernelBackend | None = resolve_backend()
-
-
-def active_backend() -> KernelBackend | None:
-    """The process-wide backend (None when batching is off)."""
-    return _ACTIVE
-
-
-def active_backend_name() -> str:
-    return "off" if _ACTIVE is None else _ACTIVE.name
-
-
-@contextmanager
-def use_backend(name: str | None):
-    """Temporarily select a backend by name (tests, benchmarks)."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = resolve_backend(name)
-    try:
-        yield _ACTIVE
-    finally:
-        _ACTIVE = previous
+BACKEND = KernelBackend()
 
 
 def prefilter_chunk(
@@ -540,29 +364,20 @@ def prefilter_chunk(
     cache,
     chunk: Sequence[tuple[str, ...]],
     deadline: float | None = None,
-    backend: KernelBackend | None = None,
 ) -> list[str] | None:
-    """Batched verdicts for one stratum chunk of mixin tuples.
+    """Verdicts for one stratum chunk of mixin tuples.
 
     Returns verdicts (``"ht"`` | ``"eliminated"`` | ``"dtrs"`` |
     ``"feasible"``) in chunk order, aligned with ``chunk``'s prefix, up
     to and including the first ``"feasible"`` one — or ``None`` when
-    batching is off or the kernel tripped the deadline mid-chunk (the
-    caller's per-candidate loop then re-raises the trip at the right
-    candidate).  Algorithm 2 returns the first feasible candidate of
-    the stratum, so the in-order replay stops there and never reads
-    past it; a chunk with no feasible candidate gets a verdict for
-    every entry.
+    the kernel passed the deadline mid-chunk.  Algorithm 2 returns the
+    first feasible candidate of the stratum, so the in-order replay
+    stops there and never reads past it; a chunk with no feasible
+    candidate gets a verdict for every entry.
 
-    Each verdict depends only on (instance, candidate): the serial
-    solver and every parallel worker compute identical verdicts for a
-    candidate no matter how the stream was chunked, which is what keeps
-    counters and results byte-identical across worker counts.
+    Each verdict depends only on (instance, candidate), never on how
+    the stream was chunked.
     """
-    if backend is None:
-        backend = _ACTIVE
-    if backend is None:
-        return None
     universe = instance.universe
     target = instance.target_token
     c, ell = instance.c, instance.ell
@@ -574,7 +389,7 @@ def prefilter_chunk(
                 verdicts.append("ht")
                 continue
             key = cache.related_key(tokens)
-            state = cache.kernel_state(key, backend, deadline=deadline)
+            state = cache.kernel_state(key, deadline=deadline)
             verdict = state.verdict_of(universe, tokens, c, ell, deadline=deadline)
             verdicts.append(verdict)
             if verdict == "feasible":
@@ -583,8 +398,6 @@ def prefilter_chunk(
         return None
     if events.enabled():
         events.emit(
-            events.KernelBatchScanned(
-                candidates=len(chunk), resolved=len(verdicts), backend=backend.name
-            )
+            events.KernelBatchScanned(candidates=len(chunk), resolved=len(verdicts))
         )
     return verdicts

@@ -1,4 +1,4 @@
-"""Typed solver progress events and the worker-merge protocol.
+"""Typed solver progress events.
 
 The exact pipeline reports progress in a small, closed vocabulary of
 events — one frozen dataclass per thing that happens — instead of
@@ -9,32 +9,12 @@ the active trace.  The very hottest sites (per augmenting-path repair
 inside :class:`~repro.core.perf.matching.IncrementalMatcher`) bypass
 the event object and bump their canonical counters directly; the names
 are still declared here.
-
-Worker forwarding
------------------
-
-``bfs_select(workers=N)`` checks candidates in forked pool workers.
-Each worker wraps every candidate check in its own
-:class:`~repro.obs.metrics.MemoryRecorder` and ships the resulting
-per-candidate snapshots back on the pool's result queue alongside the
-chunk outcome.  The controller folds snapshots in **submission order**,
-stopping at the winning candidate — exactly the candidates the serial
-scan would have counted — so merged totals are deterministic and equal
-to a serial run for every counter except the explicitly
-scheduling-dependent ones below.
-
-Scheduling-dependent counters: each worker owns a private
-:class:`~repro.core.perf.cache.SolverCache`, so *which* candidate pays
-for a base-world enumeration (a ``cache.worlds_misses`` +
-``worlds.enumerated`` pair) depends on how candidates land on workers.
-:func:`deterministic_view` strips those names; everything it keeps is
-pinned equal across worker counts by ``tests/test_obs_parallel.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Protocol, Sequence
+from typing import Protocol
 
 from . import metrics, trace
 
@@ -59,8 +39,6 @@ __all__ = [
     "RungServed",
     "WorkerRetry",
     "WorkerChunkLost",
-    "CheckpointSaved",
-    "CheckpointResumed",
     "RequestAdmitted",
     "RequestRejected",
     "BatchExecuted",
@@ -68,19 +46,7 @@ __all__ = [
     "EpochAdvanced",
     "emit",
     "enabled",
-    "merge_worker_snapshots",
-    "deterministic_view",
-    "SCHEDULING_DEPENDENT",
 ]
-
-#: Counter names whose totals legitimately differ between worker counts
-#: (per-process cache effects) — see the module docstring.
-SCHEDULING_DEPENDENT = (
-    "cache.",
-    "kernel.",
-    "worlds.built",
-    "worlds.enumerated",
-)
 
 
 class Event(Protocol):
@@ -167,17 +133,13 @@ class CacheWorldsLookup:
 @dataclass(frozen=True, slots=True)
 class KernelStateBuilt:
     """A columnar kernel state (slices + HT masks) derived from a cached
-    base world set.  Per-process and cache-keyed, so scheduling-dependent
-    in parallel runs — every ``kernel.`` counter is stripped from the
-    deterministic view."""
+    base world set."""
 
     rings: int
     worlds: int
-    backend: str
 
     def record(self, recorder: metrics.Recorder) -> None:
         recorder.count("kernel.states")
-        recorder.count(f"kernel.states.{self.backend}")
         recorder.count("kernel.state_worlds", self.worlds)
 
 
@@ -193,7 +155,6 @@ class KernelBatchScanned:
 
     candidates: int
     resolved: int
-    backend: str
 
     def record(self, recorder: metrics.Recorder) -> None:
         recorder.count("kernel.batches")
@@ -322,7 +283,7 @@ class RungServed:
 
 @dataclass(frozen=True, slots=True)
 class WorkerRetry:
-    """A lost/hung worker chunk was requeued (attempt is 1-based)."""
+    """A lost/hung worker call was requeued (attempt is 1-based)."""
 
     chunk_index: int
     attempt: int
@@ -333,35 +294,13 @@ class WorkerRetry:
 
 @dataclass(frozen=True, slots=True)
 class WorkerChunkLost:
-    """A chunk exhausted its retries — WorkerLost is about to raise."""
+    """A worker call exhausted its retries — WorkerLost is about to raise."""
 
     chunk_index: int
     attempts: int
 
     def record(self, recorder: metrics.Recorder) -> None:
         recorder.count("resilience.worker_lost")
-
-
-@dataclass(frozen=True, slots=True)
-class CheckpointSaved:
-    """A BFS stratum boundary was checkpointed to disk."""
-
-    size: int
-    candidates: int
-
-    def record(self, recorder: metrics.Recorder) -> None:
-        recorder.count("resilience.checkpoints")
-        recorder.gauge("resilience.checkpoint_size", self.size)
-
-
-@dataclass(frozen=True, slots=True)
-class CheckpointResumed:
-    """A BFS search resumed from a checkpoint at stratum ``size``."""
-
-    size: int
-
-    def record(self, recorder: metrics.Recorder) -> None:
-        recorder.count("resilience.resumes")
 
 
 @dataclass(frozen=True, slots=True)
@@ -441,31 +380,3 @@ def _attrs_of(event: Event) -> dict:
     cls = type(event)
     return {name: getattr(event, name) for name in cls.__dataclass_fields__}
 
-
-# -- worker-side forwarding -------------------------------------------------
-
-
-def merge_worker_snapshots(
-    recorder: metrics.Recorder | None, snapshots: Sequence[Mapping] | None
-) -> None:
-    """Fold per-candidate worker snapshots into the controller recorder.
-
-    Snapshots must be passed in submission order; only
-    :class:`~repro.obs.metrics.MemoryRecorder` targets can merge (the
-    protocol's minimum surface has no merge), so anything else drops
-    them silently.
-    """
-    if not snapshots or recorder is None:
-        return
-    if isinstance(recorder, metrics.MemoryRecorder):
-        for snapshot in snapshots:
-            recorder.merge_snapshot(snapshot)
-
-
-def deterministic_view(counters: Mapping[str, int]) -> dict[str, int]:
-    """Counters whose totals are identical for every worker count."""
-    return {
-        name: value
-        for name, value in counters.items()
-        if not name.startswith(SCHEDULING_DEPENDENT)
-    }

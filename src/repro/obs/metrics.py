@@ -13,11 +13,10 @@ Counter names are flat dotted strings (``"bfs.candidates"``,
 (``"bfs.candidates.size4"``).  The canonical names live in
 :mod:`repro.obs.events` next to the typed events that produce them.
 
-The recorder slot is a plain module global, *not* a context variable:
-forked pool workers inherit whatever was installed at fork time, and
-:mod:`repro.core.perf.parallel` swaps in a per-candidate
-:class:`MemoryRecorder` so worker-side counts travel back to the
-controller as snapshots (see DESIGN.md §9).
+The recorder slot is a plain module global, *not* a context variable,
+so every thread of the process records into the one installed sink.
+Forked pool workers inherit whatever was installed at fork time; the
+shard workers of :mod:`repro.service.router` uninstall it.
 """
 
 from __future__ import annotations
@@ -56,8 +55,8 @@ class MemoryRecorder:
     """In-process recorder: plain dicts, deterministic snapshots.
 
     Histograms keep streaming aggregates (count/sum/min/max) rather
-    than raw samples so snapshots stay small enough to ship across the
-    worker result queue and embed in ``BENCH_*.json``.
+    than raw samples so snapshots stay small enough to embed in
+    ``BENCH_*.json``.
     """
 
     __slots__ = ("counters", "gauges", "histograms")
@@ -100,28 +99,6 @@ class MemoryRecorder:
                 for name, hist in sorted(self.histograms.items())
             },
         }
-
-    def merge_snapshot(self, snapshot: Mapping) -> None:
-        """Fold a :meth:`snapshot` (e.g. from a pool worker) into self.
-
-        Counters add, gauges last-write-win, histogram aggregates
-        combine — merging the same snapshots in the same order always
-        yields the same totals, which is what makes the parallel event
-        path deterministic.
-        """
-        for name, value in snapshot.get("counters", {}).items():
-            self.counters[name] = self.counters.get(name, 0) + value
-        for name, value in snapshot.get("gauges", {}).items():
-            self.gauges[name] = value
-        for name, other in snapshot.get("histograms", {}).items():
-            hist = self.histograms.get(name)
-            if hist is None:
-                self.histograms[name] = dict(other)
-            else:
-                hist["count"] += other["count"]
-                hist["sum"] += other["sum"]
-                hist["min"] = min(hist["min"], other["min"])
-                hist["max"] = max(hist["max"], other["max"])
 
 
 # -- the active-recorder slot ----------------------------------------------

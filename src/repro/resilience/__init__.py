@@ -1,26 +1,23 @@
 """Fault tolerance for the exact pipeline (DESIGN.md §10).
 
-Four cooperating pieces, all defaulting to off:
+Three cooperating pieces:
 
 * :mod:`repro.resilience.faults` — a deterministic, serializable
   :class:`FaultPlan` that injects failures (worker death, hung checks,
   cache corruption, clock skew, chain-load I/O errors) at named sites
   via the same hook-slot pattern :mod:`repro.obs.metrics` uses, so the
   production cost when disabled is one load + compare per site.
-* :mod:`repro.resilience.supervisor` — retry/backoff supervision of the
-  BFS candidate fan-out: a dead or hung worker's chunk is requeued
-  (bounded retries, deterministic re-chunking, exponential backoff with
-  an injectable clock) and merged results stay byte-identical to serial
-  under any single-worker failure.
+* :mod:`repro.resilience.supervisor` — retry/backoff supervision of
+  calls into a process pool (the shard router's worker dispatches): a
+  dead or hung worker's call is resubmitted with bounded retries and
+  exponential backoff under an injectable clock, or surfaces as the
+  typed :class:`WorkerLost`.
 * :mod:`repro.resilience.ladder` — the degradation ladder: on
-  :class:`~repro.core.bfs.SearchBudgetExceeded` or unrecoverable worker
-  loss, step exact BFS down to the Progressive solver, then requirement
-  relaxation, then a diversity-checked baseline — re-verifying the
-  Definition 5 constraints at every rung and failing closed (raising)
-  rather than emitting an unverified ring.
-* :mod:`repro.resilience.checkpoint` — stratum-boundary checkpoints of
-  the BFS search so a budget trip resumes where it left off instead of
-  restarting, reproducing the uninterrupted result exactly.
+  :class:`~repro.core.bfs.SearchBudgetExceeded`, step exact BFS down to
+  the Progressive solver, then requirement relaxation, then a
+  diversity-checked baseline — re-verifying the Definition 5
+  constraints at every rung and failing closed (raising) rather than
+  emitting an unverified ring.
 
 Submodules are loaded lazily (PEP 562) so solver modules can import
 ``repro.resilience.faults`` from deep inside :mod:`repro.core` without
@@ -31,15 +28,12 @@ from importlib import import_module
 
 __all__ = [
     "faults",
-    "checkpoint",
     "ladder",
     "supervisor",
     "FaultPlan",
     "FaultSpec",
     "InjectedFault",
     "InjectedIOError",
-    "BfsCheckpoint",
-    "CheckpointError",
     "RetryPolicy",
     "WorkerLost",
     "DegradedResult",
@@ -48,15 +42,13 @@ __all__ = [
     "verify_ring",
 ]
 
-_SUBMODULES = ("faults", "checkpoint", "ladder", "supervisor")
+_SUBMODULES = ("faults", "ladder", "supervisor")
 
 _EXPORTS = {
     "FaultPlan": "faults",
     "FaultSpec": "faults",
     "InjectedFault": "faults",
     "InjectedIOError": "faults",
-    "BfsCheckpoint": "checkpoint",
-    "CheckpointError": "checkpoint",
     "RetryPolicy": "supervisor",
     "WorkerLost": "supervisor",
     "DegradedResult": "ladder",

@@ -19,9 +19,7 @@ Sites wired into the pipeline (the closed vocabulary of
 :data:`KNOWN_SITES`):
 
 ============================ ==============================================
-``bfs.candidate``            start of every per-candidate feasibility check
-``parallel.worker_chunk``    start of every worker chunk scan (``index`` is
-                             the global chunk index, ``attempt`` the retry)
+``bfs.candidate``            every candidate of the BFS replay
 ``cache.worlds``             every base-world cache lookup
 ``chain.load``               every dataset load from disk
 ``chain.clock``              every block-timestamp read (cooperative skew)
@@ -88,7 +86,6 @@ KNOWN_ACTIONS = ("die", "hang", "delay", "error", "io_error", "corrupt", "skew")
 #: The sites the pipeline actually checks (documentation + validation).
 KNOWN_SITES = (
     "bfs.candidate",
-    "parallel.worker_chunk",
     "cache.worlds",
     "chain.load",
     "chain.clock",
@@ -123,10 +120,10 @@ class FaultSpec:
         at_hit: fire on the Nth visit of the site (1-based, counted per
             process); ``None`` disables this trigger.
         at_index: fire when the call site passes this explicit index
-            (e.g. the global chunk index) — retry-aware together with
-            ``on_attempt``.
+            (e.g. the router's dispatch sequence) — retry-aware
+            together with ``on_attempt``.
         on_attempt: with ``at_index``, fire only on this attempt number
-            (0 = first try), so a requeued chunk survives its retry.
+            (0 = first try), so a requeued call survives its retry.
         probability: fire with this probability per visit, drawn from a
             per-site stream seeded by the plan seed (deterministic).
         payload: seconds for ``hang``/``delay``/``skew``.

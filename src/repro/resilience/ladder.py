@@ -1,7 +1,7 @@
 """The degradation ladder: always a verified ring, or a typed refusal.
 
 DA-MS is #P-hard (Theorem 3.1), so at production scale the exact
-pipeline *will* trip its budget or lose workers.  Aborting loses all
+pipeline *will* trip its budget.  Aborting loses all
 search progress; silently falling back to a ring-size-only selector
 emits exactly the rings traceability analyses exploit.  The ladder
 threads the middle path: step down through progressively cheaper
@@ -19,8 +19,7 @@ Rungs, in order::
     baseline     smallest-module baseline across the same schedule
 
 The exact rung degrades on :class:`~repro.core.bfs.SearchBudgetExceeded`
-or :class:`~repro.core.perf.parallel.WorkerLost` (resource exhaustion);
-later rungs degrade on :class:`~repro.core.problem.InfeasibleError` or
+(resource exhaustion); later rungs degrade on :class:`~repro.core.problem.InfeasibleError` or
 a failed re-verification.  An :class:`InfeasibleError` from the *exact*
 rung is a proof that no feasible ring exists at the requirement, so it
 propagates — degradation cannot conjure one.  Relaxed rungs verify
@@ -42,13 +41,11 @@ from dataclasses import dataclass
 from ..core.baselines import smallest_select  # noqa: F401 - registers "smallest"
 from ..core.bfs import SearchBudgetExceeded, bfs_select
 from ..core.modules import ModuleUniverse
-from ..core.perf.parallel import WorkerLost
 from ..core.problem import DamsInstance, InfeasibleError, definition5_violations
 from ..core.progressive import progressive_select
 from ..core.relaxation import select_with_relaxation
 from ..core.selector import SelectionResult
 from ..obs import events, trace
-from .supervisor import RetryPolicy
 
 __all__ = [
     "RUNGS",
@@ -157,10 +154,6 @@ def ladder_select(
     modules: ModuleUniverse | None = None,
     time_budget: float | None = None,
     max_mixins: int | None = None,
-    workers: int = 0,
-    supervision: RetryPolicy | None = None,
-    checkpoint_path=None,
-    resume_from=None,
     rng: random.Random | None = None,
     rungs: tuple[str, ...] = RUNGS,
     cache=None,
@@ -170,8 +163,7 @@ def ladder_select(
     Args:
         modules: the practical-configuration decomposition used by the
             non-exact rungs (built from the instance when omitted).
-        time_budget / max_mixins / workers / supervision /
-            checkpoint_path / resume_from: forwarded to the exact rung's
+        time_budget / max_mixins: forwarded to the exact rung's
             :func:`~repro.core.bfs.bfs_select`.
         cache: a :class:`~repro.core.perf.cache.SolverCache` shared with
             other selections over the same (universe, ring history)
@@ -188,7 +180,6 @@ def ladder_select(
             or every degraded rung was infeasible even relaxed.
         ConstraintViolation: the last rung tried produced a ring that
             failed re-verification (fail closed).
-        CheckpointError: ``resume_from`` was corrupted or mismatched.
 
     Example — when nothing fails the ladder is just the exact solver
     plus a re-verification, and reports itself undegraded:
@@ -225,14 +216,10 @@ def ladder_select(
                     trigger,
                     time_budget=time_budget,
                     max_mixins=max_mixins,
-                    workers=workers,
-                    supervision=supervision,
-                    checkpoint_path=checkpoint_path,
-                    resume_from=resume_from,
                     rng=rng,
                     cache=cache,
                 )
-            except (SearchBudgetExceeded, WorkerLost) as exc:
+            except SearchBudgetExceeded as exc:
                 trigger = type(exc).__name__
                 last_error = exc
             except InfeasibleError as exc:
@@ -280,10 +267,6 @@ def _run_rung(
     trigger: str | None,
     time_budget: float | None,
     max_mixins: int | None,
-    workers: int,
-    supervision: RetryPolicy | None,
-    checkpoint_path,
-    resume_from,
     rng: random.Random | None,
     cache=None,
 ) -> DegradedResult:
@@ -296,10 +279,6 @@ def _run_rung(
             instance,
             time_budget=time_budget,
             max_mixins=max_mixins,
-            workers=workers,
-            supervision=supervision,
-            checkpoint_path=checkpoint_path,
-            resume_from=resume_from,
             cache=cache,
         )
         result = SelectionResult(

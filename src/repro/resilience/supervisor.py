@@ -1,58 +1,49 @@
-"""Worker supervision for the BFS candidate fan-out.
+"""Supervised calls into a process pool.
 
-:mod:`repro.core.perf.parallel` used to push chunks through
-``Pool.imap``: a worker that died mid-chunk (or hung forever) left the
-controller blocked on a result that would never arrive.  This module
-replaces that consume loop with a *windowed* ``apply_async`` engine
-that keeps per-chunk result handles, so it can
+:func:`supervised_call` submits one call via ``apply_async`` and keeps
+its result handle, so it can
 
-* **detect** a lost chunk — a sentinel timeout per chunk, tightened to
-  a short grace period the moment a child-process death is observed on
-  the pool — and surface it as the typed
-  :class:`~repro.core.perf.parallel.WorkerLost` instead of hanging;
-* **recover** from it (``supervised_scan``) — requeue exactly the same
-  chunk (deterministic re-chunking: chunks are identified by their
-  global index and rebuilt from the same lexicographic stream) with
-  exponential backoff, bounded by :class:`RetryPolicy.max_retries`.
+* **detect** a lost call — a sentinel timeout, tightened to a short
+  grace period the moment a child-process death is observed on the
+  pool — and surface it as the typed :class:`WorkerLost` instead of
+  blocking forever on a result that will never arrive;
+* **recover** from it — resubmit the call with exponential backoff,
+  bounded by :class:`RetryPolicy.max_retries`.
 
-Determinism: results are consumed strictly in chunk-submission order
-and the first ``found``/``budget`` outcome wins, so the reported winner
-— and the worker metrics snapshots merged into the controller recorder
-— are byte-identical to a serial scan no matter which workers died,
-hung, or were retried along the way.  A retried chunk's failed attempt
-never contributes snapshots (they were lost with the worker); only the
-attempt that completes is merged, exactly once, in chunk order.
-
-The backoff ``sleep`` and the ``clock`` are injectable so chaos tests
-run in virtual time.
+The shard router (:mod:`repro.service.router`) dispatches every worker
+call through it.  The backoff ``sleep`` and the ``clock`` are
+injectable so chaos tests run in virtual time.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
-from ..core.perf import parallel
-from ..obs import events, metrics, trace
+from ..obs import events
 
 __all__ = [
     "RetryPolicy",
     "WorkerLost",
     "supervised_call",
-    "supervised_scan",
-    "windowed_scan",
-    "DEFAULT_HANG_TIMEOUT",
 ]
 
-# Re-exported so callers can catch the error where they import the policy.
-WorkerLost = parallel.WorkerLost
 
-#: Sentinel timeout for the unsupervised ``scan_candidates`` path: long
-#: enough that no healthy chunk trips it, short enough that a crashed
-#: worker surfaces as WorkerLost instead of blocking a service forever.
-DEFAULT_HANG_TIMEOUT = 300.0
+class WorkerLost(RuntimeError):
+    """A pool worker died or hung and its call could not be recovered.
+
+    Attributes:
+        chunk_index: the index the failed call was submitted under.
+        attempts: how many times the call was attempted.
+    """
+
+    def __init__(
+        self, message: str, chunk_index: int | None = None, attempts: int = 1
+    ) -> None:
+        super().__init__(message)
+        self.chunk_index = chunk_index
+        self.attempts = attempts
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,14 +51,14 @@ class RetryPolicy:
     """How the supervisor waits, retries and backs off.
 
     Attributes:
-        max_retries: requeues allowed per chunk before giving up with
+        max_retries: requeues allowed per call before giving up with
             :class:`WorkerLost` (0 = detect only, never retry).
         base_delay: first backoff sleep in seconds.
         multiplier: backoff growth factor per extra attempt.
-        hang_timeout: seconds a submitted chunk may stay unanswered
+        hang_timeout: seconds a submitted call may stay unanswered
             before it is declared lost (the sentinel timeout).
-        death_grace: once a child-process death is observed, every
-            outstanding chunk's deadline is tightened to at most this
+        death_grace: once a child-process death is observed, the
+            outstanding call's deadline is tightened to at most this
             many seconds away — fast recovery without waiting out the
             full sentinel.
         poll_interval: granularity of the result wait loop.
@@ -85,49 +76,6 @@ class RetryPolicy:
         return self.base_delay * self.multiplier**attempt
 
 
-class _Task:
-    """One outstanding chunk: its identity plus the live attempt."""
-
-    __slots__ = ("index", "chunk", "attempt", "handle", "expires")
-
-    def __init__(self, index: int, chunk: list, attempt: int, handle, expires: float):
-        self.index = index
-        self.chunk = chunk
-        self.attempt = attempt
-        self.handle = handle
-        self.expires = expires
-
-
-def supervised_scan(
-    instance,
-    candidate_stream: Iterable[tuple[str, ...]],
-    workers: int,
-    deadline: float | None = None,
-    chunk_size: int = parallel.BFS_CHUNK_SIZE,
-    policy: RetryPolicy | None = None,
-    sleep: Callable[[float], None] = time.sleep,
-    clock: Callable[[], float] = time.perf_counter,
-) -> tuple[str, int, tuple[str, ...] | None]:
-    """:func:`~repro.core.perf.parallel.scan_candidates` with recovery.
-
-    Same contract — ``("found" | "none" | "budget", index, mixins)``
-    with serial-identical winners and merged metrics — but a dead or
-    hung worker's chunk is requeued under ``policy`` instead of
-    aborting the scan.  Raises :class:`WorkerLost` only after a chunk
-    failed ``policy.max_retries + 1`` times.
-    """
-    return windowed_scan(
-        instance,
-        candidate_stream,
-        workers,
-        deadline=deadline,
-        chunk_size=chunk_size,
-        policy=policy if policy is not None else RetryPolicy(),
-        sleep=sleep,
-        clock=clock,
-    )
-
-
 def supervised_call(
     pool,
     func: Callable,
@@ -140,13 +88,11 @@ def supervised_call(
 ):
     """One supervised RPC against a process pool.
 
-    The single-call sibling of :func:`windowed_scan`, reused by the
-    shard router for its worker dispatches: submit ``func(*make_args
-    (attempt))`` via ``apply_async``, watch the handle under
-    ``policy``'s sentinel timeout, tighten the deadline to
-    ``death_grace`` the moment a child death is observed on the pool,
-    and requeue with exponential backoff on timeout or a worker-raised
-    exception.  ``make_args`` receives the attempt number so retries
+    Submit ``func(*make_args(attempt))`` via ``apply_async``, watch
+    the handle under ``policy``'s sentinel timeout, tighten the
+    deadline to ``death_grace`` the moment a child death is observed on
+    the pool, and requeue with exponential backoff on timeout or a
+    worker-raised exception.  ``make_args`` receives the attempt number so retries
     can attach recovery context (the router sends a full state sync on
     attempt > 0 — a respawned worker starts from the original
     ``initargs`` and must be caught up).
@@ -199,115 +145,3 @@ def supervised_call(
         handle = pool.apply_async(func, make_args(attempt))
         expires = clock() + policy.hang_timeout
         death_seen = False
-
-
-def windowed_scan(
-    instance,
-    candidate_stream: Iterable[tuple[str, ...]],
-    workers: int,
-    deadline: float | None,
-    chunk_size: int,
-    policy: RetryPolicy,
-    sleep: Callable[[float], None] = time.sleep,
-    clock: Callable[[], float] = time.perf_counter,
-) -> tuple[str, int, tuple[str, ...] | None]:
-    """The shared windowed-submission engine (see the module docstring).
-
-    ``scan_candidates`` routes here with ``max_retries=0`` (detection
-    only); ``supervised_scan`` with a real :class:`RetryPolicy`.
-    """
-    recorder = metrics.active()
-    record = recorder is not None
-    chunk_iter = enumerate(parallel.chunked(candidate_stream, chunk_size))
-    window = max(2 * workers, 2)
-    offset = 0
-    exhausted = False
-    death_seen = False
-    tasks: deque[_Task] = deque()
-
-    with parallel._pool(
-        workers, parallel._init_bfs_worker, (instance, deadline, record)
-    ) as pool:
-
-        def submit(index: int, chunk: list, attempt: int) -> _Task:
-            handle = pool.apply_async(
-                parallel._scan_chunk, ((chunk, index, attempt),)
-            )
-            return _Task(index, chunk, attempt, handle, clock() + policy.hang_timeout)
-
-        def retry(task: _Task, reason: str) -> _Task:
-            if task.attempt >= policy.max_retries:
-                if events.enabled():
-                    events.emit(
-                        events.WorkerChunkLost(
-                            chunk_index=task.index, attempts=task.attempt + 1
-                        )
-                    )
-                raise WorkerLost(
-                    f"chunk {task.index} lost after {task.attempt + 1} "
-                    f"attempt(s) ({reason}); pool of {workers} worker(s)",
-                    chunk_index=task.index,
-                    attempts=task.attempt + 1,
-                )
-            if events.enabled():
-                events.emit(
-                    events.WorkerRetry(
-                        chunk_index=task.index, attempt=task.attempt + 1
-                    )
-                )
-            sleep(policy.backoff(task.attempt))
-            return submit(task.index, task.chunk, task.attempt + 1)
-
-        def observe_deaths() -> None:
-            # A died child never answers; _maintain_pool replaces it
-            # quickly, so treat any observed non-None exitcode as the
-            # signal to tighten every outstanding deadline.
-            nonlocal death_seen
-            if death_seen:
-                return
-            procs = getattr(pool, "_pool", None) or ()
-            if any(proc.exitcode is not None for proc in procs):
-                death_seen = True
-                cutoff = clock() + policy.death_grace
-                for task in tasks:
-                    task.expires = min(task.expires, cutoff)
-
-        while True:
-            while not exhausted and len(tasks) < window:
-                try:
-                    index, chunk = next(chunk_iter)
-                except StopIteration:
-                    exhausted = True
-                    break
-                tasks.append(submit(index, chunk, 0))
-            if not tasks:
-                return ("none", offset, None)
-
-            head = tasks[0]
-            while not head.handle.ready():
-                observe_deaths()
-                if clock() > head.expires:
-                    tasks[0] = head = retry(head, "no answer before timeout")
-                    death_seen = False
-                    continue
-                head.handle.wait(policy.poll_interval)
-            try:
-                outcome, local, winner, snaps = head.handle.get()
-            except Exception as exc:  # worker raised mid-chunk: requeue
-                tasks[0] = retry(head, f"worker error: {type(exc).__name__}")
-                continue
-            tasks.popleft()
-
-            events.merge_worker_snapshots(recorder, snaps)
-            if trace.active() is not None:
-                trace.instant(
-                    "bfs.chunk",
-                    index=head.index,
-                    outcome=outcome,
-                    attempt=head.attempt,
-                    candidates=local + (1 if outcome != "none" else 0),
-                )
-            if outcome in ("found", "budget"):
-                pool.terminate()
-                return (outcome, offset + local, winner)
-            offset += local

@@ -50,7 +50,6 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 from ..core.bfs import SearchBudgetExceeded, bfs_select
-from ..core.perf.parallel import WorkerLost
 from ..core.problem import InfeasibleError
 from ..core.ring import Ring, TokenUniverse
 from ..obs import events, metrics, trace
@@ -95,8 +94,6 @@ class ServiceConfig:
             request is waiting (0 = batch whatever is already queued).
         default_budget: per-request exact-search budget when the
             request does not name one (``None`` = unbounded).
-        workers: process fan-out for each request's candidate scan
-            (forwarded to :func:`~repro.core.bfs.bfs_select`).
         fault_plan: a fault-plan document applied to *every* request
             (a fresh :class:`~repro.resilience.faults.FaultPlan`
             instance per request); request-level plans override it.
@@ -126,7 +123,6 @@ class ServiceConfig:
     max_batch: int = 32
     linger_s: float = 0.0
     default_budget: float | None = None
-    workers: int = 0
     fault_plan: Mapping | None = None
     telemetry: bool = True
     clock: Clock | None = None
@@ -535,13 +531,10 @@ class SelectionService:
                 response = self._error(
                     request, snapshot, batch, ERROR_BUDGET_EXCEEDED, exc
                 )
-            except (InfeasibleError, WorkerLost) as exc:
-                code = (
-                    ERROR_INFEASIBLE
-                    if isinstance(exc, InfeasibleError)
-                    else ERROR_INTERNAL
+            except InfeasibleError as exc:
+                response = self._error(
+                    request, snapshot, batch, ERROR_INFEASIBLE, exc
                 )
-                response = self._error(request, snapshot, batch, code, exc)
             except ConstraintViolation as exc:
                 response = self._error(
                     request, snapshot, batch, ERROR_CONSTRAINT_VIOLATION, exc
@@ -648,7 +641,6 @@ class SelectionService:
                 instance,
                 time_budget=budget,
                 max_mixins=request.max_mixins,
-                workers=self.config.workers,
                 cache=cache,
             )
             return SelectResponse(
@@ -672,7 +664,6 @@ class SelectionService:
             modules=view.module_universe(),
             time_budget=budget,
             max_mixins=request.max_mixins,
-            workers=self.config.workers,
             rng=random.Random(request.seed),
             cache=cache,
         )

@@ -42,12 +42,13 @@ Recovery (:meth:`Journal.recover`) loads the newest valid snapshot,
 replays the WAL tail on top of it, and returns a
 :class:`RecoveredState` from which ``serve --journal DIR`` rebuilds a
 byte-identical twin of the crashed daemon.  Torn tails degrade
-gracefully: the first frame that fails its CRC, fails to parse, or
-breaks key monotonicity ends the replay, the file is truncated back to
-the last valid frame, and the damage is surfaced as a typed
-``recovered`` block (``tests/test_service_recovery.py`` pins all of
-it).  A snapshot that fails validation falls back to the next older
-one rather than aborting recovery.
+gracefully: the first frame that fails its CRC, fails to parse, has an
+``epoch`` or ``seq`` that is not an integer, breaks key monotonicity,
+or is a commit whose ring doc does not parse ends the replay, the file
+is truncated back to the last valid frame, and the damage is surfaced
+as a typed ``recovered`` block (``tests/test_service_recovery.py``
+pins all of it).  A snapshot that fails validation falls back to the
+next older one rather than aborting recovery.
 
 Fault sites (``journal.append``, ``journal.fsync``,
 ``journal.replay``) hook the same deterministic
@@ -163,24 +164,27 @@ def scan_frames(path: Path) -> tuple[list[dict], int, str | None]:
     Returns ``(frames, valid_bytes, damage)``: the frames decoded
     before the first invalid line, how many bytes of the file they
     span (the truncation point), and a human description of the first
-    damage found (``None`` for a clean file).  A final line without a
-    newline terminator is treated as torn — a crash mid-append — even
-    if its CRC happens to verify.
+    damage found (``None`` for a clean file).  A line is invalid when
+    its CRC or JSON fails, its ``(epoch, seq)`` key is not integers
+    (see :func:`_key_damage`) or not after the previous one.  A final
+    line without a newline terminator is treated as torn — a crash
+    mid-append — even if its CRC happens to verify.
     """
-    frames, _, valid_bytes, damage = _scan(path)
-    return frames, valid_bytes, damage
+    frames, _, ends, damage = _scan(path)
+    return frames, ends[-1] if ends else 0, damage
 
 
-def _scan(path: Path) -> tuple[list[dict], list[str], int, str | None]:
-    """:func:`scan_frames`, plus each valid frame's CRC-checked body text."""
+def _scan(path: Path) -> tuple[list[dict], list[str], list[int], str | None]:
+    """:func:`scan_frames`, plus each valid frame's CRC-checked body text
+    and the byte offset where it ends (instead of just the last one)."""
     frames: list[dict] = []
     texts: list[str] = []
-    valid_bytes = 0
+    ends: list[int] = []
     damage: str | None = None
     try:
         blob = path.read_bytes()
     except FileNotFoundError:
-        return frames, texts, 0, None
+        return frames, texts, ends, None
     offset = 0
     last_key: tuple[int, int] | None = None
     while offset < len(blob):
@@ -195,7 +199,11 @@ def _scan(path: Path) -> tuple[list[dict], list[str], int, str | None]:
         except (JournalCorruption, UnicodeDecodeError) as exc:
             damage = f"frame {len(frames)}: {exc}"
             break
-        key = (int(body.get("epoch", -1)), int(body.get("seq", -1)))
+        problem = _key_damage(body)
+        if problem is not None:
+            damage = f"frame {len(frames)}: {problem}"
+            break
+        key = (body.get("epoch", -1), body.get("seq", -1))
         if last_key is not None and key <= last_key:
             damage = (
                 f"frame {len(frames)}: key {key} not after {last_key} "
@@ -206,8 +214,24 @@ def _scan(path: Path) -> tuple[list[dict], list[str], int, str | None]:
         frames.append(body)
         texts.append(line[9:])
         offset = newline + 1
-        valid_bytes = offset
-    return frames, texts, valid_bytes, damage
+        ends.append(offset)
+    return frames, texts, ends, damage
+
+
+def _key_damage(body: Mapping) -> str | None:
+    """Why a CRC-valid frame's ``(epoch, seq)`` key is unusable, or ``None``.
+
+    ``epoch`` and ``seq``, where present, must be JSON integers
+    (``true`` is not one), and a genesis, snapshot or commit frame must
+    carry an epoch.
+    """
+    for name in ("epoch", "seq"):
+        if name in body and type(body[name]) is not int:
+            return f"{name} {body[name]!r} is not an integer"
+    op = body.get("op")
+    if op in FRAME_OPS and "epoch" not in body:
+        return f"{op} frame has no epoch"
+    return None
 
 
 # -- chain-state (de)serialization -------------------------------------------
@@ -630,6 +654,10 @@ class Journal:
             if body.get("op") not in ("snapshot", "genesis"):
                 notes.append(f"snapshot {path.name} has op {body.get('op')!r}; skipped")
                 continue
+            problem = _key_damage(body)
+            if problem is not None:
+                notes.append(f"snapshot {path.name} unusable ({problem}); skipped")
+                continue
             return body, line[9:], notes
         return None, "", notes
 
@@ -657,7 +685,8 @@ class Journal:
         if not self.exists():
             return None
         base, base_text, notes = self._load_base()
-        frames, texts, valid_bytes, damage = _scan(self.wal_path)
+        frames, texts, ends, damage = _scan(self.wal_path)
+        first = 0  # index of the first WAL frame to fold
         if base is None:
             # No snapshot yet: the genesis frame must lead the WAL.
             if not frames or frames[0].get("op") != "genesis":
@@ -666,7 +695,7 @@ class Journal:
                     f"exists; cannot reconstruct state"
                 )
             base, base_text = frames[0], texts[0]
-            frames, texts = frames[1:], texts[1:]
+            first = 1
 
         data = base["data"]
         universe = TokenUniverse(dict(data["universe"]))
@@ -681,22 +710,33 @@ class Journal:
 
         replayed = 0
         since: list[str] = []
-        for body, text in zip(frames, texts):
+        for index in range(first, len(frames)):
+            body, text = frames[index], texts[index]
             if body.get("op") != "commit":
                 continue
-            if int(body["epoch"]) <= epoch:
+            if body["epoch"] <= epoch:
                 continue  # already folded into the snapshot
             token = str(body.get("token", ""))
             if token in seen:
                 continue  # idempotency: a double-appended frame is a no-op
-            ring = ring_from_doc(body["data"])
+            try:
+                ring = ring_from_doc(body["data"])
+            except (KeyError, TypeError, ValueError) as exc:
+                # Damage like a bad CRC: the replay ends before this frame.
+                damage = (
+                    f"frame {index}: commit ring doc does not parse "
+                    f"({type(exc).__name__}: {exc})"
+                )
+                del ends[index:]
+                break
             rings.append(ring)
             seen.add(ring.rid)
-            epoch = int(body["epoch"])
+            epoch = body["epoch"]
             replayed += 1
             since.append(_slice_commit(text, body) or _ring_text(ring))
         self._set_base(*pieces, since, max((ring.seq for ring in rings), default=-1))
 
+        valid_bytes = ends[-1] if ends else 0
         truncated = 0
         if damage is not None:
             try:

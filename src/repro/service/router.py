@@ -44,11 +44,11 @@ Lifecycle, loss and recovery
 ----------------------------
 
 Worker dispatches run under
-:func:`repro.resilience.supervisor.supervised_call` — the same typed
-:class:`~repro.core.perf.parallel.WorkerLost` / bounded-retry /
-death-grace machinery the BFS fan-out uses, not a second process
-stack.  A pool respawns a dead worker with the *original* initargs, so
-every dispatch carries the router's epoch: a lagging worker raises
+:func:`repro.resilience.supervisor.supervised_call`: a typed
+:class:`~repro.resilience.supervisor.WorkerLost`, bounded retries and a
+death-grace timeout.  A pool respawns a dead worker with the
+*original* initargs, so every dispatch carries the router's epoch: a
+lagging worker raises
 :class:`~repro.service.daemon.ShardOutOfSync`, and the supervised
 retry answers by attaching a full sync (ring log + epoch) to the
 resend.  Commits are idempotent by ring id on the worker, so a commit
@@ -74,11 +74,11 @@ losses, or any shard is degraded/unreachable.
 
 from __future__ import annotations
 
+import multiprocessing
 import threading
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from ..core.perf import parallel
 from ..core.ring import Ring, TokenUniverse
 from ..obs import events
 from ..obs.clock import Clock
@@ -103,6 +103,16 @@ from .telemetry import ServiceTelemetry
 __all__ = ["RouterConfig", "ShardRouter"]
 
 
+def _shard_pool(initargs: tuple) -> multiprocessing.pool.Pool:
+    """A one-process pool running :func:`_init_shard_worker`, forked
+    where the platform can fork."""
+    try:
+        context = multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX platforms
+        context = multiprocessing.get_context()
+    return context.Pool(1, initializer=_init_shard_worker, initargs=initargs)
+
+
 @dataclass(frozen=True, slots=True)
 class RouterConfig:
     """Tunables of one :class:`ShardRouter`.
@@ -120,9 +130,6 @@ class RouterConfig:
         linger_s: per-shard drain linger for batch-mates.
         default_budget: per-request exact-search budget when the
             request does not name one.
-        workers: process fan-out *inside* each shard's candidate scan
-            (forwarded to the worker's ``ServiceConfig``; 0 = serial —
-            the right answer when shards already saturate the cores).
         fault_plan: a fault-plan document installed *in every shard
             worker* (each forked process gets its own counters).  This
             is how chaos reaches the ``shard.batch`` site; unlike
@@ -146,7 +153,6 @@ class RouterConfig:
     max_batch: int = 32
     linger_s: float = 0.0
     default_budget: float | None = None
-    workers: int = 0
     fault_plan: Mapping | None = None
     telemetry: bool = True
     clock: Clock | None = None
@@ -253,16 +259,13 @@ class ShardRouter:
         config_kwargs = dict(
             max_batch=self.config.max_batch,
             default_budget=self.config.default_budget,
-            workers=self.config.workers,
             telemetry=self.config.telemetry,
         )
         fault_doc = (
             None if self.config.fault_plan is None else dict(self.config.fault_plan)
         )
         for shard in self._shards:
-            shard.pool = parallel._pool(
-                1,
-                _init_shard_worker,
+            shard.pool = _shard_pool(
                 (
                     shard.index,
                     shard.owned,

@@ -24,7 +24,10 @@ lockstep loop.
 
 A malformed line never kills the session: it is answered with a
 ``bad_request`` rejection and the loop continues, so one buggy client
-request cannot take the service down for everyone else.
+request cannot take the service down for everyone else.  Over the
+socket that includes a line that is not valid UTF-8 and a line longer
+than :data:`MAX_LINE_BYTES`, which is discarded up to its newline
+rather than buffered.
 
 The ``service`` argument is duck-typed: anything with the
 :class:`~repro.service.daemon.SelectionService` front-end surface —
@@ -52,7 +55,17 @@ from .protocol import (
     encode,
 )
 
-__all__ = ["handle_line", "serve_stdio", "serve_socket"]
+__all__ = ["MAX_LINE_BYTES", "handle_line", "serve_stdio", "serve_socket"]
+
+#: Longest request line, in bytes without its newline, that the socket
+#: front end reads; a longer one is answered ``bad_request``.
+MAX_LINE_BYTES = 1 << 20
+
+
+def _bad_request(detail: str) -> str:
+    return encode(
+        {"id": None, "status": "rejected", "code": REJECT_BAD_REQUEST, "detail": detail}
+    )
 
 
 def handle_line(service, line: str) -> tuple[str, bool]:
@@ -120,14 +133,7 @@ def handle_line(service, line: str) -> tuple[str, bool]:
             {"id": payload.get("id"), "status": "ok", "shutdown": True}
         ), False
     except (ProtocolError, KeyError, TypeError, ValueError) as exc:
-        return encode(
-            {
-                "id": None,
-                "status": "rejected",
-                "code": REJECT_BAD_REQUEST,
-                "detail": str(exc),
-            }
-        ), True
+        return _bad_request(str(exc)), True
 
 
 class _Session:
@@ -136,8 +142,9 @@ class _Session:
     The connection's reader calls :meth:`feed` per received line —
     ``select`` lines are submitted to the service *immediately* and
     their pending slots queued to the outbox; every other line (ops,
-    malformed input) is queued raw.  The writer thread drains the
-    outbox in order: slots block until their response resolves,
+    malformed input) is queued raw, and :meth:`reject` queues the
+    answer to a line that could not be read at all.  The writer thread
+    drains the outbox in order: slots block until their response resolves,
     raw lines run through :func:`handle_line` at their position — the
     barrier that keeps op responses causally after every earlier
     select on the connection.  While any raw line is still queued, new
@@ -188,6 +195,10 @@ class _Session:
             return False
         return True
 
+    def reject(self, detail: str) -> None:
+        """Answer an unreadable line ``bad_request``, in line order."""
+        self.outbox.put(("reply", _bad_request(detail)))
+
     def finish(self) -> None:
         """Signal end of input; the writer drains what is queued."""
         self.outbox.put(("eof", None))
@@ -201,6 +212,8 @@ class _Session:
                 if kind == "slot":
                     response_line = encode(value.wait().to_dict())
                     keep_going = True
+                elif kind == "reply":
+                    response_line, keep_going = value, True
                 else:
                     response_line, keep_going = handle_line(self.service, value)
                     with self._lock:
@@ -238,17 +251,28 @@ def serve_stdio(service, in_stream: IO[str], out_stream: IO[str]) -> int:
     return session.served
 
 
-def _connection_lines(sock: socket.socket) -> Iterator[str]:
-    """Yield newline-terminated lines from a connected socket."""
-    buffer = b""
-    while True:
-        chunk = sock.recv(65536)
-        if not chunk:
-            break
-        buffer += chunk
-        while b"\n" in buffer:
-            line, buffer = buffer.split(b"\n", 1)
-            yield line.decode("utf-8")
+def _connection_lines(sock: socket.socket) -> Iterator[bytes | None]:
+    """Yield the newline-terminated lines of a connected socket.
+
+    A line longer than :data:`MAX_LINE_BYTES` is yielded once as
+    ``None`` and discarded up to its newline, so the reader holds at
+    most that much of any line.
+    """
+    pending = b""  # the current line's bytes so far
+    skipping = False  # inside an over-long line already yielded
+    while chunk := sock.recv(65536):
+        start = 0
+        while (newline := chunk.find(b"\n", start)) >= 0:
+            if not skipping:
+                line = pending + chunk[start:newline]
+                yield line if len(line) <= MAX_LINE_BYTES else None
+            pending, skipping = b"", False
+            start = newline + 1
+        if not skipping:
+            pending += chunk[start:]
+            if len(pending) > MAX_LINE_BYTES:
+                yield None
+                pending, skipping = b"", True
 
 
 def serve_socket(
@@ -290,7 +314,17 @@ def serve_socket(
                     daemon=True,
                 )
                 writer.start()
-                for line in _connection_lines(conn):
+                for raw in _connection_lines(conn):
+                    if raw is None:
+                        session.reject(
+                            f"request line longer than {MAX_LINE_BYTES} bytes"
+                        )
+                        continue
+                    try:
+                        line = raw.decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        session.reject(f"request line is not valid UTF-8: {exc}")
+                        continue
                     if not session.feed(line):
                         break
                 session.finish()

@@ -64,11 +64,9 @@ BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 
 #: ``resilience.*`` counters surfaced in ``stats`` (artifact-key → counter).
 _RESILIENCE_COUNTERS = {
-    "checkpoints": "resilience.checkpoints",
     "degradations": "resilience.degradations",
     "fail_closed": "resilience.fail_closed",
     "faults_injected": "resilience.faults",
-    "resumes": "resilience.resumes",
     "retries": "resilience.retries",
     "worker_lost": "resilience.worker_lost",
 }

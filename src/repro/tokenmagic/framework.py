@@ -52,10 +52,6 @@ class TokenMagicConfig:
             randomization.  When False the selector runs once, directly
             for the target token (deterministic; what the paper's
             efficiency experiments time).
-        parallel_workers: fan exact-solver candidate scans and
-            chain-reaction audits across this many processes (<= 1
-            keeps everything serial; results are identical either way,
-            see :mod:`repro.core.perf.parallel`).
 
     Example — the defaults are the paper's efficiency-experiment
     settings; the second configuration bumps the *targeted* l by one
@@ -72,7 +68,6 @@ class TokenMagicConfig:
     eta: float = 0.0
     apply_second_config: bool = True
     candidate_mode: bool = False
-    parallel_workers: int = 0
 
 
 class TokenMagic:
@@ -208,9 +203,7 @@ class TokenMagic:
 
         Unlike :meth:`generate_ring`, this solves the DA-MS instance
         exactly over the batch universe (no practical-configuration
-        module decomposition), using the solver performance layer and —
-        when ``config.parallel_workers`` > 1 — the deterministic
-        multiprocess candidate fan-out.
+        module decomposition), using the solver performance layer.
 
         Raises:
             InfeasibleError: the batch cannot satisfy the request.
@@ -230,10 +223,7 @@ class TokenMagic:
                 batch.universe, list(registry.rings), token_id, c=c, ell=ell
             )
             solved = bfs_select(
-                instance,
-                time_budget=time_budget,
-                max_mixins=max_mixins,
-                workers=self.config.parallel_workers,
+                instance, time_budget=time_budget, max_mixins=max_mixins
             )
             result = SelectionResult(
                 tokens=solved.ring.tokens,
@@ -253,18 +243,14 @@ class TokenMagic:
         time_budget: float | None = None,
         max_mixins: int | None = None,
         rng: random.Random | None = None,
-        checkpoint_path=None,
-        resume_from=None,
     ):
         """:meth:`generate_ring_exact` behind the degradation ladder.
 
-        The exact BFS runs first; if it trips its budget or loses a
-        worker unrecoverably, the ladder steps down through progressive
-        selection, the relaxation schedule, and the diversity-checked
-        baseline — re-verifying the Definition 5 constraints at every
-        rung and failing closed rather than emitting an unverified
-        ring.  Parallel exact runs (``config.parallel_workers`` > 1)
-        are supervised: dead or hung worker chunks are requeued.
+        The exact BFS runs first; if it trips its budget, the ladder
+        steps down through progressive selection, the relaxation
+        schedule, and the diversity-checked baseline — re-verifying the
+        Definition 5 constraints at every rung and failing closed
+        rather than emitting an unverified ring.
 
         Returns:
             A :class:`~repro.resilience.ladder.DegradedResult`; its
@@ -281,9 +267,7 @@ class TokenMagic:
         """
         from ..core.problem import DamsInstance
         from ..resilience.ladder import ladder_select
-        from ..resilience.supervisor import RetryPolicy
 
-        workers = self.config.parallel_workers
         start = time.perf_counter()
         with trace.span(
             "tokenmagic.generate_ring_resilient", token=token_id, budget=time_budget
@@ -294,14 +278,7 @@ class TokenMagic:
                 batch.universe, list(registry.rings), token_id, c=c, ell=ell
             )
             outcome = ladder_select(
-                instance,
-                time_budget=time_budget,
-                max_mixins=max_mixins,
-                workers=workers,
-                supervision=RetryPolicy() if workers and workers > 1 else None,
-                checkpoint_path=checkpoint_path,
-                resume_from=resume_from,
-                rng=rng,
+                instance, time_budget=time_budget, max_mixins=max_mixins, rng=rng
             )
             self._check_admissible(
                 registry, outcome.result, outcome.claimed_c, outcome.claimed_ell
@@ -315,16 +292,13 @@ class TokenMagic:
         """Chain-reaction audit of every ring proposed over ``batch``.
 
         Runs the exact matching-based possibility analysis (what an
-        information-theoretically optimal adversary learns), fanned
-        across ``config.parallel_workers`` processes when configured.
+        information-theoretically optimal adversary learns).
         """
         from ..analysis.chain_reaction import exact_analysis
 
         registry = self.registry_for(batch)
         with trace.span("tokenmagic.audit_batch", batch=batch.index):
-            return exact_analysis(
-                list(registry.rings), workers=self.config.parallel_workers
-            )
+            return exact_analysis(list(registry.rings))
 
     def commit_ring(self, result: SelectionResult, c: float, ell: int) -> Ring:
         """Record a generated ring in its batch registry and return it."""

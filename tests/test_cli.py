@@ -93,10 +93,10 @@ class TestSelectCommand:
     def test_select_registered_with_resilience_flags(self):
         args = build_parser().parse_args(
             ["select", "--rings", "2", "--budget", "1",
-             "--checkpoint", "cp.json", "--fault-plan", "plan.json"]
+             "--fault-plan", "plan.json"]
         )
         assert args.command == "select"
-        assert args.checkpoint == "cp.json"
+        assert args.budget == 1.0
         assert args.fault_plan == "plan.json"
 
     def test_every_subcommand_accepts_fault_plan(self):
@@ -135,15 +135,3 @@ class TestSelectCommand:
                      "--fault-plan", str(plan_path), "--metrics"]) == 0
         out = capsys.readouterr().out
         assert "resilience.faults" in out
-
-    def test_checkpoint_flag_writes_resumable_file(self, tmp_path, capsys):
-        from repro.resilience.checkpoint import load_checkpoint
-
-        cp = tmp_path / "cp.json"
-        # All-distinct HTs at (1.0, 2): the first stratum always fails
-        # (1 < 1.0 * 1), so a checkpoint lands on disk before the win.
-        flags = ["--rings", "1", "--tokens", "8", "--hts", "999",
-                 "--c", "1.0", "--ell", "2"]
-        assert main(["select", *flags, "--checkpoint", str(cp)]) == 0
-        assert load_checkpoint(cp).next_size >= 2
-        assert main(["select", *flags, "--resume", str(cp)]) == 0

@@ -30,7 +30,6 @@ import pytest
 
 from repro.core.modules import ModuleUniverse, is_superset_or_disjoint
 from repro.core.perf.cache import SolverCache
-from repro.core.perf.kernels import resolve_backend
 from repro.core.ring import Ring, TokenUniverse
 from repro.service import (
     ChainSnapshot,
@@ -269,7 +268,6 @@ def test_cache_advance_invalidates_touched_retains_disjoint():
 
 
 def test_cache_advance_kernel_states_follow_components():
-    backend = resolve_backend("python")
     universe = make_universe()
     tokens = sorted(universe.tokens)
     rings = [
@@ -279,17 +277,15 @@ def test_cache_advance_kernel_states_follow_components():
     cache = SolverCache(universe, rings)
     key_a = cache.related_key([tokens[0]])
     key_b = cache.related_key([tokens[4]])
-    state_a = cache.kernel_state(key_a, backend)
-    state_b = cache.kernel_state(key_b, backend)
+    state_a = cache.kernel_state(key_a)
+    state_b = cache.kernel_state(key_b)
 
     touching_a = Ring("t", frozenset(tokens[0:2]), c=C, ell=ELL, seq=2)
     advanced, report = cache.advance(touching_a)
     assert report.kernel_retained == 1 and report.kernel_invalidated == 1
-    assert advanced.kernel_state(key_b, backend) is state_b
+    assert advanced.kernel_state(key_b) is state_b
     assert advanced.stats.kernel_builds == 0
-    rebuilt_a = advanced.kernel_state(
-        advanced.related_key([tokens[0]]), backend
-    )
+    rebuilt_a = advanced.kernel_state(advanced.related_key([tokens[0]]))
     assert rebuilt_a is not state_a
     assert advanced.stats.kernel_builds == 1
 
@@ -315,7 +311,7 @@ def test_cache_advance_is_atomic_under_concurrent_fills():
     # at the keys.
     for i in range(4000):
         cache._worlds[frozenset({100 + i})] = None
-        cache._kernel_states[(frozenset({100 + i}), "python")] = (None, None)
+        cache._kernel_states[frozenset({100 + i})] = (None, None)
     ring = Ring("t", frozenset(tokens[0:2]), c=C, ell=ELL, seq=2)
     stop = threading.Event()
 
@@ -323,7 +319,7 @@ def test_cache_advance_is_atomic_under_concurrent_fills():
         i = 10**6
         while not stop.is_set():
             cache._worlds[frozenset({i})] = None
-            cache._kernel_states[(frozenset({i}), "python")] = (None, None)
+            cache._kernel_states[frozenset({i})] = (None, None)
             i += 1
 
     old_interval = sys.getswitchinterval()

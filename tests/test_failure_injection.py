@@ -150,22 +150,15 @@ class TestDocumentCorruption:
 # Guarantees under test: never a hang, never an unverified ring.
 # ---------------------------------------------------------------------------
 
-import os
-
 from repro.core.bfs import bfs_select
 from repro.core.diversity import ht_counts_satisfy
 from repro.core.perf.cache import SolverCache
-from repro.core.perf.parallel import WorkerLost, scan_candidates
 from repro.core.problem import DamsInstance
 from repro.core.ring import TokenUniverse
 from repro.data.persistence import load_dataset, save_dataset
 from repro.obs.clock import ManualClock
-from repro.resilience.checkpoint import CheckpointError, load_checkpoint
 from repro.resilience.faults import FaultPlan, FaultSpec, InjectedIOError, injecting
 from repro.resilience.ladder import RUNGS, ladder_select, verify_ring
-from repro.resilience.supervisor import RetryPolicy
-
-CHAOS_WORKERS = int(os.environ.get("REPRO_CHAOS_WORKERS", "2"))
 
 
 def dams_instance(tokens=14, hts=5, c=2.0, ell=3, seed=0, rings=()):
@@ -176,67 +169,6 @@ def dams_instance(tokens=14, hts=5, c=2.0, ell=3, seed=0, rings=()):
         {f"t{i}": f"h{rng.randrange(hts)}" for i in range(tokens)}
     )
     return DamsInstance(universe, list(rings), "t0", c=c, ell=ell)
-
-
-def chunk_stream(instance, size):
-    from itertools import combinations
-
-    return combinations(sorted(instance.candidate_mixins()), size)
-
-
-class TestWorkerDeathChaos:
-    def test_supervised_scan_recovers_from_worker_death(self):
-        """A worker killed mid-stratum is requeued; result equals serial."""
-        instance = dams_instance()
-        baseline = bfs_select(instance)
-        plan = FaultPlan([
-            FaultSpec(site="parallel.worker_chunk", action="die",
-                      at_index=0, on_attempt=0),
-        ])
-        policy = RetryPolicy(max_retries=2, base_delay=0.01,
-                             hang_timeout=10.0, death_grace=0.2)
-        with injecting(plan):
-            result = bfs_select(
-                instance, workers=CHAOS_WORKERS, supervision=policy
-            )
-        assert result.ring.tokens == baseline.ring.tokens
-        assert result.mixins == baseline.mixins
-        assert result.candidates_checked == baseline.candidates_checked
-
-    def test_unsupervised_scan_raises_worker_lost_not_hang(self):
-        """Without retries the loss surfaces as a typed error (the seed
-        behaviour was an indefinite hang on Pool.imap)."""
-        instance = dams_instance()
-        plan = FaultPlan([
-            FaultSpec(site="parallel.worker_chunk", action="die",
-                      at_index=0, on_attempt=0),
-        ])
-        with injecting(plan):
-            with pytest.raises(WorkerLost) as excinfo:
-                scan_candidates(
-                    instance, chunk_stream(instance, 2), CHAOS_WORKERS,
-                    chunk_size=4, hang_timeout=5.0,
-                )
-        assert excinfo.value.chunk_index == 0
-        assert excinfo.value.attempts == 1
-
-    def test_retries_exhausted_raises_worker_lost(self):
-        """A chunk that dies on every attempt gives up with the typed
-        error after max_retries + 1 attempts."""
-        instance = dams_instance()
-        plan = FaultPlan([
-            FaultSpec(site="parallel.worker_chunk", action="die",
-                      at_index=0, on_attempt=attempt, max_fires=None)
-            for attempt in range(3)
-        ])
-        policy = RetryPolicy(max_retries=1, base_delay=0.01,
-                             hang_timeout=5.0, death_grace=0.2)
-        with injecting(plan):
-            with pytest.raises(WorkerLost) as excinfo:
-                bfs_select(
-                    instance, workers=CHAOS_WORKERS, supervision=policy
-                )
-        assert excinfo.value.attempts == 2
 
 
 class TestBudgetChaos:
@@ -255,56 +187,6 @@ class TestBudgetChaos:
         assert outcome.verified == ("diversity", "non_eliminated", "immutability")
         counts = instance.universe.ht_counts(outcome.result.tokens)
         assert ht_counts_satisfy(counts, outcome.claimed_c, outcome.claimed_ell)
-
-    def test_worker_lost_degrades_through_ladder(self):
-        """An unrecoverable worker loss is a degradation trigger too."""
-        instance = dams_instance()
-        plan = FaultPlan([
-            FaultSpec(site="parallel.worker_chunk", action="die",
-                      at_index=0, on_attempt=attempt, max_fires=None)
-            for attempt in range(2)
-        ])
-        policy = RetryPolicy(max_retries=0, base_delay=0.01,
-                             hang_timeout=5.0, death_grace=0.2)
-        with injecting(plan):
-            outcome = ladder_select(
-                instance, workers=CHAOS_WORKERS, supervision=policy
-            )
-        assert outcome.degraded
-        assert outcome.trigger == "WorkerLost"
-        verify_ring(instance, outcome.result.tokens)
-
-
-class TestCheckpointChaos:
-    def test_corrupted_checkpoint_rejected(self, tmp_path):
-        instance = dams_instance(c=1.0, ell=2, hts=99)
-        path = tmp_path / "cp.json"
-        # ell=2 with all-singleton HTs makes the first stratum
-        # infeasible (1 < 1.0 * 1 fails), so a checkpoint is written.
-        bfs_select(instance, checkpoint_path=path)
-        text = path.read_text()
-        tampered = text.replace('"next_size": 2', '"next_size": 1')
-        path.write_text(tampered)
-        with pytest.raises(CheckpointError, match="integrity"):
-            load_checkpoint(path)
-        with pytest.raises(CheckpointError):
-            bfs_select(instance, resume_from=path)
-
-    def test_checkpoint_for_other_instance_rejected(self, tmp_path):
-        instance = dams_instance(c=1.0, ell=2, hts=99)
-        path = tmp_path / "cp.json"
-        bfs_select(instance, checkpoint_path=path)
-        other = dams_instance(c=1.0, ell=2, hts=99, tokens=15)
-        with pytest.raises(CheckpointError, match="different"):
-            bfs_select(other, resume_from=path)
-
-    def test_io_fault_on_resume_is_a_checkpoint_error(self, tmp_path):
-        instance = dams_instance(c=1.0, ell=2, hts=99)
-        path = tmp_path / "cp.json"
-        bfs_select(instance, checkpoint_path=path)
-        path.unlink()
-        with pytest.raises(CheckpointError):
-            bfs_select(instance, resume_from=path)
 
 
 class TestCacheChaos:

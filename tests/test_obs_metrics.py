@@ -40,37 +40,6 @@ class TestMemoryRecorder:
         assert snap["counters"]["a"] == 1
         assert snap["histograms"]["h"]["count"] == 1
 
-    def test_merge_snapshot_combines_all_kinds(self):
-        left = metrics.MemoryRecorder()
-        left.count("c", 2)
-        left.gauge("g", 1.0)
-        left.observe("h", 4.0)
-        right = metrics.MemoryRecorder()
-        right.count("c", 3)
-        right.count("only_right")
-        right.gauge("g", 7.0)
-        right.observe("h", 1.0)
-        left.merge_snapshot(right.snapshot())
-        assert left.counters == {"c": 5, "only_right": 1}
-        assert left.gauges == {"g": 7.0}
-        assert left.histograms["h"] == {
-            "count": 2, "sum": 5.0, "min": 1.0, "max": 4.0,
-        }
-
-    def test_merge_order_is_deterministic(self):
-        snaps = []
-        for value in (1, 2, 3):
-            rec = metrics.MemoryRecorder()
-            rec.count("c", value)
-            rec.gauge("g", float(value))
-            snaps.append(rec.snapshot())
-        a = metrics.MemoryRecorder()
-        b = metrics.MemoryRecorder()
-        for snap in snaps:
-            a.merge_snapshot(snap)
-            b.merge_snapshot(snap)
-        assert a.snapshot() == b.snapshot()
-
 
 class TestActiveSlot:
     def test_disabled_by_default(self):

@@ -1,42 +1,39 @@
-"""Cross-backend equivalence of the columnar batch kernels.
+"""The columnar batch kernel against the frozen seed.
 
-The kernel contract: verdicts are exact, per-candidate, and backend-
-independent — pure-python big-int masks, numpy boolean columns, and
-batching turned off entirely must all leave ``bfs_select`` (and the
-per-candidate event stream it emits) byte-identical to the frozen seed
-reference.  These tests pin that contract, the factorized
-``extend_batch`` against the materializing ``WorldSet.extend``, the
-verdict semantics against the seed feasibility check, backend
-selection/override, and the deadline-abort path.
+The kernel contract: verdicts are exact and per-candidate.  Each names
+the gate the seed per-candidate check (:mod:`repro.core.perf.reference`)
+fails first — its own HT multiset, then non-elimination over the
+closure, then the DTRS sweep — or is ``feasible`` exactly when the seed
+accepts the candidate.  So ``bfs_select``, and the per-candidate event
+stream it emits, must match the seed solver.  These tests pin that
+contract, the factorized ``extend_batch`` against the materializing
+``WorldSet.extend``, and the deadline-abort path.
+
+Tests of the kernel carry its backend's name, ``python`` (big-int
+masks), in their ids, as they did when the kernel had more than one.
 """
 
 import random
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
 from repro.core.bfs import SearchBudgetExceeded, bfs_select
-from repro.core.perf import kernels
+from repro.core.diversity import ht_counts_satisfy
 from repro.core.perf.cache import SolverCache
-from repro.core.perf.kernels import (
-    KERNEL_BATCH_SIZE,
-    NUMPY_BACKEND,
-    PYTHON_BACKEND,
-    prefilter_chunk,
-    resolve_backend,
-    use_backend,
-)
+from repro.core.perf.kernels import BACKEND, KERNEL_BATCH_SIZE, prefilter_chunk
 from repro.core.perf.reference import (
     _candidate_feasible_reference,
     bfs_select_reference,
+    check_non_eliminated_reference,
 )
 from repro.core.perf.worlds import WorldSet
 from repro.core.problem import DamsInstance, InfeasibleError
 from repro.core.ring import Ring, TokenUniverse
-from repro.obs import events, metrics
+from repro.obs import metrics
 
-HAVE_NUMPY = "numpy" in kernels.available_backends()
-BACKENDS = ["python"] + (["numpy"] if HAVE_NUMPY else [])
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
+BACKENDS = ["python"]
 
 
 def random_instance(seed, token_count=8, ht_count=4, history=2):
@@ -63,9 +60,9 @@ def random_instance(seed, token_count=8, ht_count=4, history=2):
     return DamsInstance(universe, rings, target, c=c, ell=ell)
 
 
-def outcomes_of(solver, instance, **kwargs):
+def outcomes_of(solver, instance):
     try:
-        result = solver(instance, **kwargs)
+        result = solver(instance)
     except InfeasibleError:
         return ("infeasible", None)
     return (
@@ -74,48 +71,41 @@ def outcomes_of(solver, instance, **kwargs):
     )
 
 
-class TestBackendSelection:
-    def test_resolve_names(self):
-        assert resolve_backend("python") is PYTHON_BACKEND
-        assert resolve_backend("off") is None
-        assert resolve_backend("OFF") is None
+def reference_gate(instance, mixin_tuple) -> str:
+    """The verdict the seed checks give a candidate: ``"feasible"`` iff
+    the seed accepts it, else the first seed check it fails."""
+    candidate = instance.make_ring(mixin_tuple)
+    if _candidate_feasible_reference(instance, candidate):
+        return "feasible"
+    universe = instance.universe
+    if not ht_counts_satisfy(
+        universe.ht_counts(candidate.tokens), candidate.c, candidate.ell
+    ):
+        return "ht"
+    if not check_non_eliminated_reference(
+        instance.related_rings(candidate) + [candidate]
+    ):
+        return "eliminated"
+    return "dtrs"
 
-    def test_auto_picks_python(self):
-        # auto is the measured-fastest backend at realistic world
-        # counts, numpy-installed or not; numpy is explicit opt-in.
-        assert resolve_backend("auto") is PYTHON_BACKEND
-        if HAVE_NUMPY:
-            assert resolve_backend("numpy") is NUMPY_BACKEND
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_BACKEND, "python")
-        assert resolve_backend() is PYTHON_BACKEND
-        monkeypatch.setenv(kernels.ENV_BACKEND, "off")
-        assert resolve_backend() is None
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            resolve_backend("fortran")
-
-    def test_numpy_requested_but_missing(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_import_numpy", lambda: None)
-        with pytest.raises(RuntimeError, match="perf"):
-            resolve_backend("numpy")
-        # auto degrades silently to the pure-python path instead.
-        assert resolve_backend("auto") is PYTHON_BACKEND
-
-    def test_use_backend_restores_previous(self):
-        before = kernels.active_backend()
-        with use_backend("off") as backend:
-            assert backend is None
-            assert kernels.active_backend() is None
-        assert kernels.active_backend() is before
-
-    def test_off_disables_prefiltering(self):
-        instance = random_instance(0)
-        cache = SolverCache(instance.universe, instance.rings)
-        with use_backend("off"):
-            assert prefilter_chunk(instance, cache, [("t1",)]) is None
+def reference_bfs_counters(instance) -> dict[str, int]:
+    """The ``bfs.*`` counters a search must record, candidate by
+    candidate in the seed's enumeration order, from the seed gates."""
+    sigma = sorted(instance.candidate_mixins())
+    counters: Counter = Counter()
+    for size in range(max(0, instance.ell - 1), len(sigma) + 1):
+        for mixin_tuple in combinations(sigma, size):
+            gate = reference_gate(instance, mixin_tuple)
+            counters["bfs.candidates"] += 1
+            counters[f"bfs.candidates.size{size}"] += 1
+            if gate == "feasible":
+                counters["bfs.feasible"] += 1
+                counters["bfs.selected"] += 1
+                return dict(counters)
+            counters[f"bfs.filtered.{gate}"] += 1
+        counters["bfs.strata_exhausted"] += 1
+    return dict(counters)
 
 
 def make_ring(rid, tokens, seq=0):
@@ -134,8 +124,7 @@ class TestExtendBatch:
             for i in range(rng.randint(1, 3))
         ]
         worlds = WorldSet(rings)
-        backend = resolve_backend(backend_name)
-        state = backend.build_state(worlds, universe)
+        state = BACKEND.build_state(worlds, universe)
         candidates = [
             frozenset(rng.sample(tokens, rng.randint(1, 4))) for _ in range(8)
         ]
@@ -146,80 +135,53 @@ class TestExtendBatch:
                 f"extension count diverged for {sorted(cand_tokens)}"
             )
 
-    @needs_numpy
-    @pytest.mark.parametrize("seed", range(6))
-    def test_numpy_masks_equal_python_masks(self, seed):
-        rng = random.Random(300 + seed)
-        tokens = [f"t{i}" for i in range(8)]
-        universe = TokenUniverse({t: f"h{i % 3}" for i, t in enumerate(tokens)})
-        rings = [
-            make_ring(f"r{i}", rng.sample(tokens, rng.randint(2, 4)), seq=i)
-            for i in range(rng.randint(1, 3))
-        ]
-        worlds = WorldSet(rings)
-        py = PYTHON_BACKEND.build_state(worlds, universe)
-        np_state = NUMPY_BACKEND.build_state(worlds, universe)
-
-        def int_bits(mask):
-            return {w for w in range(len(worlds)) if mask >> w & 1}
-
-        def arr_bits(mask):
-            return {int(w) for w in mask.nonzero()[0]}
-
-        assert len(py.rows) == len(np_state.rows)
-        for py_row, np_row in zip(py.rows, np_state.rows):
-            assert py_row.token_masks.keys() == np_row.token_masks.keys()
-            for name in py_row.token_masks:
-                assert int_bits(py_row.token_masks[name]) == arr_bits(
-                    np_row.token_masks[name]
-                )
-            assert py_row.ht_masks.keys() == np_row.ht_masks.keys()
-            for ht in py_row.ht_masks:
-                assert int_bits(py_row.ht_masks[ht]) == arr_bits(
-                    np_row.ht_masks[ht]
-                )
-        assert py.presence.keys() == np_state.presence.keys()
-        for name in py.presence:
-            assert int_bits(py.presence[name]) == arr_bits(
-                np_state.presence[name]
-            )
-
 
 class TestVerdictSemantics:
+    @staticmethod
+    def gate_case(seed):
+        # Histories of 0-4 rings, so closures of up to 5 rings: the
+        # sweep has no size bound, so every verdict must be exact there.
+        instance = random_instance(1000 + seed, history=4)
+        sigma = sorted(instance.candidate_mixins())
+        chunks = [
+            list(combinations(sigma, size))[:KERNEL_BATCH_SIZE]
+            for size in (1, 2, 3)
+        ]
+        return instance, chunks
+
     @pytest.mark.parametrize("backend_name", BACKENDS)
     @pytest.mark.parametrize("seed", range(10))
     def test_resolved_verdicts_match_seed_feasibility(self, backend_name, seed):
-        # Large histories force closures of 4+ rings: the sweep has no
-        # size bound, so every verdict must be exact even there.
-        instance = random_instance(1000 + seed, token_count=9, history=4)
+        instance, chunks = self.gate_case(seed)
         cache = SolverCache(instance.universe, instance.rings)
-        backend = resolve_backend(backend_name)
-        sigma = sorted(instance.candidate_mixins())
-        from itertools import combinations
-
-        chunk = [combo for combo in combinations(sigma, 2)][:KERNEL_BATCH_SIZE]
-        # Verdicts stop at the first feasible candidate, so walk the
-        # chunk: each call resolves a prefix of what is left, and only
-        # its last verdict may be feasible.
-        verdicts = []
-        while len(verdicts) < len(chunk):
-            part = prefilter_chunk(
-                instance, cache, chunk[len(verdicts):], backend=backend
-            )
-            assert part, "every call resolves at least one candidate"
-            assert "feasible" not in part[:-1]
-            verdicts.extend(part)
-        assert len(verdicts) == len(chunk)
-        for mixin_tuple, verdict in zip(chunk, verdicts):
-            candidate = instance.make_ring(mixin_tuple)
-            truth = _candidate_feasible_reference(instance, candidate)
-            if verdict == "feasible":
-                assert truth, f"kernel feasible but seed rejects {mixin_tuple}"
-            else:
-                assert verdict in ("ht", "eliminated", "dtrs")
-                assert not truth, (
-                    f"kernel filtered at {verdict} but seed accepts {mixin_tuple}"
+        for chunk in chunks:
+            # Verdicts stop at the first feasible candidate, so walk the
+            # chunk: each call resolves a prefix of what is left, and
+            # only its last verdict may be feasible.
+            verdicts = []
+            while len(verdicts) < len(chunk):
+                part = prefilter_chunk(instance, cache, chunk[len(verdicts):])
+                assert part, "every call resolves at least one candidate"
+                assert "feasible" not in part[:-1]
+                verdicts.extend(part)
+            for mixin_tuple, verdict in zip(chunk, verdicts):
+                expected = reference_gate(instance, mixin_tuple)
+                assert verdict == expected, (
+                    f"seed {seed}: kernel says {verdict}, seed gate is "
+                    f"{expected} for {mixin_tuple}"
                 )
+
+    def test_gate_cases_reach_every_gate_and_history(self):
+        # The per-seed cases above pin every verdict only if, together,
+        # they meet each gate and each history length 0-4.
+        gates, histories = set(), set()
+        for seed in range(10):
+            instance, chunks = self.gate_case(seed)
+            histories.add(len(instance.rings))
+            for chunk in chunks:
+                gates.update(reference_gate(instance, m) for m in chunk)
+        assert histories == {0, 1, 2, 3, 4}
+        assert gates == {"ht", "eliminated", "dtrs", "feasible"}, gates
 
     def test_serial_scan_computes_one_verdict_per_candidate(self):
         # The kernel stops at a chunk's first feasible candidate, which
@@ -239,102 +201,71 @@ class TestVerdictSemantics:
 
     @pytest.mark.parametrize("backend_name", BACKENDS)
     def test_every_candidate_resolves(self, backend_name):
-        # The sweep is complete at any closure size — no candidate is
-        # ever deferred to the per-candidate tail.
+        # The sweep is complete at any closure size: every verdict
+        # names a gate, none is deferred.
         instance = random_instance(7, history=2)
         cache = SolverCache(instance.universe, instance.rings)
-        backend = resolve_backend(backend_name)
         sigma = sorted(instance.candidate_mixins())
-        from itertools import combinations
-
         chunk = list(combinations(sigma, 2))[:KERNEL_BATCH_SIZE]
-        verdicts = prefilter_chunk(instance, cache, chunk, backend=backend)
-        assert verdicts is not None
+        verdicts = prefilter_chunk(instance, cache, chunk)
+        assert verdicts
         assert set(verdicts) <= {"ht", "eliminated", "dtrs", "feasible"}
 
 
 class TestBfsEquivalence:
-    @pytest.mark.parametrize("backend_name", BACKENDS + ["off"])
+    @pytest.mark.parametrize("backend_name", BACKENDS)
     @pytest.mark.parametrize("seed", range(8))
     def test_backend_equals_reference(self, backend_name, seed):
         instance = random_instance(seed, history=3)
-        with use_backend(backend_name):
-            ours = outcomes_of(bfs_select, instance)
-        assert ours == outcomes_of(bfs_select_reference, instance), (
-            f"backend {backend_name} diverged on seed {seed}"
-        )
-
-    @pytest.mark.parametrize("backend_name", BACKENDS)
-    @pytest.mark.parametrize("seed", range(4))
-    def test_parallel_equals_serial_per_backend(self, backend_name, seed):
-        instance = random_instance(40 + seed, history=3)
-        with use_backend(backend_name):
-            serial = outcomes_of(bfs_select, instance)
-            parallel = outcomes_of(bfs_select, instance, workers=2)
-        assert parallel == serial
+        assert outcomes_of(bfs_select, instance) == outcomes_of(
+            bfs_select_reference, instance
+        ), f"backend {backend_name} diverged from the seed on seed {seed}"
 
     @pytest.mark.parametrize("seed", range(6))
     def test_sequential_chain_identical_across_backends(self, seed):
         # Fig-4-style chains: each accepted ring joins the next
-        # instance's history, compounding any verdict bug.  All
-        # backends (and batching off) must produce identical chains.
-        def run_chain(backend_name):
+        # instance's history, compounding any verdict bug.  The batch
+        # kernel and the seed's per-candidate checks must produce
+        # identical chains.
+        def run_chain(solver):
             rng = random.Random(2000 + seed)
             universe = TokenUniverse(
                 {f"t{i:02d}": f"h{rng.randrange(5)}" for i in range(12)}
             )
             rings, out, consumed = [], [], set()
-            with use_backend(backend_name):
-                for index in range(3):
-                    free = sorted(universe.tokens - consumed)
-                    target = free[rng.randrange(len(free))]
-                    instance = DamsInstance(
-                        universe, list(rings), target, c=2.0, ell=3
-                    )
-                    outcome = outcomes_of(bfs_select, instance)
-                    out.append(outcome)
-                    if outcome[0] != "ok":
-                        break
-                    tokens = outcome[1][0]
-                    rings.append(
-                        Ring(
-                            rid=f"g{index}", tokens=tokens, c=2.0, ell=3,
-                            seq=index,
-                        )
-                    )
-                    consumed.add(target)
+            for index in range(3):
+                free = sorted(universe.tokens - consumed)
+                target = free[rng.randrange(len(free))]
+                instance = DamsInstance(universe, list(rings), target, c=2.0, ell=3)
+                outcome = outcomes_of(solver, instance)
+                out.append(outcome)
+                if outcome[0] != "ok":
+                    break
+                tokens = outcome[1][0]
+                rings.append(
+                    Ring(rid=f"g{index}", tokens=tokens, c=2.0, ell=3, seq=index)
+                )
+                consumed.add(target)
             return out
 
-        chains = {name: run_chain(name) for name in BACKENDS + ["off"]}
-        baseline = chains["off"]
-        for name, chain in chains.items():
-            assert chain == baseline, f"backend {name} chain diverged"
+        assert run_chain(bfs_select) == run_chain(bfs_select_reference)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_candidate_events_identical_across_backends(self, seed):
-        # The replay emits CandidateScanned with the same gate the
-        # per-candidate path reports, so the bfs.* counters — part of
-        # the deterministic view — must match with batching on or off.
+        # The replay emits one CandidateScanned per candidate naming its
+        # gate, so the bfs.* counters must equal the seed gates of the
+        # candidates the seed enumerates up to its winner.
         instance = random_instance(90 + seed, history=3)
-
-        def bfs_counters(backend_name):
-            with use_backend(backend_name):
-                with metrics.recording() as rec:
-                    outcomes_of(bfs_select, instance)
-            return {
-                name: value
-                for name, value in events.deterministic_view(
-                    rec.counters
-                ).items()
-                if name.startswith("bfs.")
-            }
-
-        baseline = bfs_counters("off")
-        assert baseline.get("bfs.candidates")
-        for name in BACKENDS:
-            assert bfs_counters(name) == baseline, (
-                f"backend {name} event stream diverged"
-            )
+        with metrics.recording() as rec:
+            outcomes_of(bfs_select, instance)
+        observed = {
+            name: value
+            for name, value in rec.counters.items()
+            if name.startswith("bfs.")
+        }
+        expected = reference_bfs_counters(instance)
+        assert expected.get("bfs.candidates")
+        assert observed == expected
 
 
 class TestDeadlines:
@@ -353,11 +284,8 @@ class TestDeadlines:
     def test_prefilter_returns_none_on_expired_deadline(self, backend_name):
         instance = self.blowup_instance()
         cache = SolverCache(instance.universe, instance.rings)
-        backend = resolve_backend(backend_name)
-        verdicts = prefilter_chunk(
-            instance, cache, [("t1",)], deadline=0.0, backend=backend
-        )
-        assert verdicts is None  # state build aborted, caller falls back
+        verdicts = prefilter_chunk(instance, cache, [("t1",)], deadline=0.0)
+        assert verdicts is None  # state build aborted; the solver trips
 
     @pytest.mark.parametrize("backend_name", BACKENDS)
     def test_budget_trips_inside_candidate(self, backend_name):
@@ -365,7 +293,8 @@ class TestDeadlines:
 
         instance = self.blowup_instance()
         start = time_module.perf_counter()
-        with use_backend(backend_name):
-            with pytest.raises(SearchBudgetExceeded):
-                bfs_select(instance, time_budget=0.3)
+        with pytest.raises(SearchBudgetExceeded) as excinfo:
+            bfs_select(instance, time_budget=0.3)
         assert time_module.perf_counter() - start < 5.0
+        # {t0} alone fails its own HT gate; ("t1",) starts the blowup.
+        assert (excinfo.value.size, excinfo.value.scanned_in_size) == (1, 0)

@@ -2,9 +2,8 @@
 
 The chaos scenarios (faults actually firing inside the pipeline) live
 in ``tests/test_failure_injection.py``; this module covers the layer's
-own contracts: fault-plan serialization and deterministic firing,
-checkpoint round-trips and resume equivalence, the degradation ladder's
-ordering and fail-closed semantics, and the priced disabled-path
+own contracts: fault-plan serialization and deterministic firing, the
+degradation ladder's ordering and fail-closed semantics, and the priced disabled-path
 overhead guard (< 3%, same methodology as ``tests/test_obs_overhead``).
 """
 
@@ -15,7 +14,7 @@ from itertools import product
 
 import pytest
 
-from repro.core.bfs import SearchBudgetExceeded, bfs_select
+from repro.core.bfs import bfs_select
 from repro.core.diversity import ht_counts_satisfy
 from repro.core.perf.reference import (
     check_non_eliminated_reference,
@@ -24,13 +23,6 @@ from repro.core.perf.reference import (
 from repro.core.problem import DamsInstance, InfeasibleError, is_feasible_exact
 from repro.core.ring import Ring, TokenUniverse, related_ring_set
 from repro.obs import metrics
-from repro.resilience.checkpoint import (
-    BfsCheckpoint,
-    CheckpointError,
-    instance_fingerprint,
-    load_checkpoint,
-    save_checkpoint,
-)
 from repro.resilience.faults import (
     FaultPlan,
     FaultSpec,
@@ -56,19 +48,13 @@ def dams_instance(tokens=14, hts=5, c=2.0, ell=3, seed=0, rings=()):
     return DamsInstance(universe, list(rings), "t0", c=c, ell=ell)
 
 
-def staircase_instance():
-    """First stratum infeasible, second feasible: checkpoints happen."""
-    ht = {"t0": "h0", "t1": "h1", "t2": "h2", "t3": "h3"}
-    return DamsInstance(TokenUniverse(ht), [], "t0", c=1.0, ell=2)
-
-
 class TestFaultPlanSerialization:
     def test_round_trip(self):
         plan = FaultPlan(
             [
                 FaultSpec(site="bfs.candidate", action="delay",
                           at_hit=3, payload=0.5),
-                FaultSpec(site="parallel.worker_chunk", action="die",
+                FaultSpec(site="shard.batch", action="die",
                           at_index=1, on_attempt=0),
                 FaultSpec(site="cache.worlds", action="corrupt",
                           probability=0.25, max_fires=None),
@@ -137,96 +123,6 @@ class TestFaultPlanDeterminism:
         with injecting(plan):
             assert active() is plan
         assert active() is None
-
-
-class TestCheckpointRoundTrip:
-    def test_save_load_round_trip(self, tmp_path):
-        checkpoint = BfsCheckpoint(
-            fingerprint="f" * 64, next_size=4, candidates_checked=1351,
-            elapsed=0.82, cache_keys=((0,), (0, 1)),
-        )
-        path = save_checkpoint(tmp_path / "cp.json", checkpoint)
-        assert load_checkpoint(path) == checkpoint
-
-    def test_fingerprint_covers_requirement_and_history(self):
-        base = dams_instance()
-        same = dams_instance()
-        assert instance_fingerprint(base) == instance_fingerprint(same)
-        harder = dams_instance(ell=4)
-        assert instance_fingerprint(base) != instance_fingerprint(harder)
-        ring = Ring(rid="r0", tokens=frozenset({"t1", "t2"}), c=1.0,
-                    ell=1, seq=0)
-        with_history = dams_instance(rings=[ring])
-        assert instance_fingerprint(base) != instance_fingerprint(with_history)
-
-    def test_missing_checksum_rejected(self, tmp_path):
-        checkpoint = BfsCheckpoint(
-            fingerprint="f" * 64, next_size=2, candidates_checked=3,
-            elapsed=0.1,
-        )
-        path = save_checkpoint(tmp_path / "cp.json", checkpoint)
-        import json
-
-        payload = json.loads(path.read_text())
-        del payload["checksum"]
-        path.write_text(json.dumps(payload))
-        with pytest.raises(CheckpointError, match="integrity"):
-            load_checkpoint(path)
-
-    def test_not_json_rejected(self, tmp_path):
-        path = tmp_path / "cp.json"
-        path.write_text("not json {")
-        with pytest.raises(CheckpointError, match="JSON"):
-            load_checkpoint(path)
-
-
-class TestCheckpointResume:
-    def test_resume_reproduces_uninterrupted_result(self, tmp_path):
-        instance = staircase_instance()
-        baseline = bfs_select(instance)
-        path = tmp_path / "cp.json"
-        bfs_select(instance, checkpoint_path=path)
-        resumed = bfs_select(instance, resume_from=path)
-        assert resumed.ring.tokens == baseline.ring.tokens
-        assert resumed.mixins == baseline.mixins
-        assert resumed.candidates_checked == baseline.candidates_checked
-
-    def test_resume_accepts_in_memory_checkpoint(self, tmp_path):
-        instance = staircase_instance()
-        path = tmp_path / "cp.json"
-        bfs_select(instance, checkpoint_path=path)
-        checkpoint = load_checkpoint(path)
-        baseline = bfs_select(instance)
-        resumed = bfs_select(instance, resume_from=checkpoint)
-        assert resumed.ring.tokens == baseline.ring.tokens
-        assert resumed.candidates_checked == baseline.candidates_checked
-
-    def test_budget_trip_carries_checkpoint_path(self, tmp_path):
-        # All-singleton universe at c=0.1: every stratum is walked and
-        # exhausted (1 < 0.1 * 7 never holds), checkpointing each time.
-        ht = {f"t{i}": f"h{i}" for i in range(8)}
-        instance = DamsInstance(TokenUniverse(ht), [], "t0", c=0.1, ell=2)
-        path = tmp_path / "cp.json"
-        with pytest.raises(InfeasibleError):
-            bfs_select(instance, checkpoint_path=path)
-        assert path.exists()
-        instance2 = staircase_instance()
-        path2 = tmp_path / "cp2.json"
-        try:
-            bfs_select(instance2, time_budget=0.0, checkpoint_path=path2)
-        except SearchBudgetExceeded as exc:
-            assert exc.checkpoint_path is None  # nothing completed yet
-        else:  # pragma: no cover - zero budget must trip
-            pytest.fail("expected SearchBudgetExceeded")
-
-    def test_parallel_resume_matches_serial(self, tmp_path):
-        instance = staircase_instance()
-        baseline = bfs_select(instance)
-        path = tmp_path / "cp.json"
-        bfs_select(instance, checkpoint_path=path)
-        resumed = bfs_select(instance, resume_from=path, workers=2)
-        assert resumed.ring.tokens == baseline.ring.tokens
-        assert resumed.candidates_checked == baseline.candidates_checked
 
 
 class TestLadder:

@@ -17,6 +17,10 @@ The batching determinism trick used throughout: submit against a
 
 from __future__ import annotations
 
+import contextlib
+import socket
+import threading
+
 import pytest
 
 from repro.core.bfs import bfs_select
@@ -34,7 +38,7 @@ from repro.service import (
 from repro.service.batching import EPOCH_ANY
 from repro.service.state import DuplicateRingId
 from repro.service.protocol import decode, encode
-from repro.service.server import handle_line
+from repro.service.server import MAX_LINE_BYTES, handle_line, serve_socket
 
 
 def small_universe() -> TokenUniverse:
@@ -418,3 +422,59 @@ def test_handle_line_answers_malformed_input_without_dying():
 
     line, keep_going = handle_line(service, encode({"op": "shutdown"}))
     assert not keep_going and decode(line)["status"] == "ok"
+
+
+# -- socket front end ----------------------------------------------------------
+
+
+@contextlib.contextmanager
+def socket_connection(tmp_path):
+    """A live ``serve_socket`` daemon and one raw connection to it."""
+    path = str(tmp_path / "s.sock")
+    ready = threading.Event()
+    with SelectionService(small_universe(), history()) as service:
+        server = threading.Thread(
+            target=serve_socket, args=(service, path, ready), daemon=True
+        )
+        server.start()
+        assert ready.wait(5.0)
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as conn:
+            conn.settimeout(30.0)
+            conn.connect(path)
+            with conn.makefile("rb") as replies:
+                yield conn, replies
+                conn.sendall(b'{"op":"shutdown"}\n')
+                assert decode(replies.readline().decode())["shutdown"] is True
+        server.join(timeout=5.0)
+        assert not server.is_alive()
+
+
+def select_line(rid: str) -> bytes:
+    payload = {"op": "select", **request(rid).to_dict()}
+    return (encode(payload) + "\n").encode()
+
+
+def test_socket_answers_a_line_that_is_not_utf8(tmp_path):
+    with socket_connection(tmp_path) as (conn, replies):
+        conn.sendall(b'\xff\xfe{"op":"epoch"}\n' + select_line("after"))
+        rejected = decode(replies.readline().decode())
+        assert rejected["status"] == "rejected"
+        assert rejected["code"] == "bad_request"
+        assert "UTF-8" in rejected["detail"]
+        answered = decode(replies.readline().decode())
+        assert (answered["id"], answered["status"]) == ("after", "ok")
+
+
+def test_socket_discards_an_over_long_line_with_one_reply(tmp_path):
+    with socket_connection(tmp_path) as (conn, replies):
+        # The reader answers as soon as the line passes the bound, with
+        # no newline in sight, and drops the rest of it unbuffered.
+        conn.sendall(b"x" * (MAX_LINE_BYTES + 1))
+        rejected = decode(replies.readline().decode())
+        assert (rejected["status"], rejected["code"]) == ("rejected", "bad_request")
+        assert str(MAX_LINE_BYTES) in rejected["detail"]
+        for _ in range(2):
+            conn.sendall(b"x" * MAX_LINE_BYTES)
+        conn.sendall(b"\n" + select_line("after"))
+        answered = decode(replies.readline().decode())
+        assert (answered["id"], answered["status"]) == ("after", "ok")

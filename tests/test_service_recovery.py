@@ -22,6 +22,7 @@ Four layers of pinning:
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import random
@@ -306,6 +307,66 @@ def test_recover_stops_at_corrupt_middle_frame(tmp_path):
     assert recovered.epoch == 1
     assert [r.rid for r in recovered.rings] == ["r0"]
     assert "CRC mismatch" in recovered.recovery["damage"]
+
+
+def _load_fsck():
+    path = Path(__file__).resolve().parent.parent / "tools" / "journal_fsck.py"
+    spec = importlib.util.spec_from_file_location("journal_fsck", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _unfoldable_commit(case: str) -> dict:
+    """A CRC-valid commit frame the replay cannot fold, keyed after
+    ``(1, 0)``: a non-integer key, or a ring doc that does not parse."""
+    ring = Ring("r1", frozenset({"t02", "t03"}), c=1.0, ell=1, seq=1)
+    body = commit_body(2, ring)
+    if case == "epoch-string":
+        return {"op": "commit", "epoch": "x", "seq": 0}
+    if case in ("epoch-null", "epoch-list", "epoch-bool"):
+        body["epoch"] = {"epoch-null": None, "epoch-list": [1], "epoch-bool": True}[case]
+    elif case == "seq-float":
+        body["seq"] = 1.0
+    elif case == "no-data":
+        del body["data"]
+    elif case == "no-tokens":
+        del body["data"]["tokens"]
+    elif case == "c-not-a-number":
+        body["data"]["c"] = "a"
+    return body
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["epoch-string", "epoch-null", "epoch-list", "epoch-bool", "seq-float",
+     "no-data", "no-tokens", "c-not-a-number"],
+)
+def test_recover_truncates_at_an_unfoldable_frame(tmp_path, capsys, case):
+    home = tmp_path / "j"
+    journal = Journal(home, sync_every=1, snapshot_every=0)
+    journal.append_genesis(recovery_universe(), (), None)
+    journal.append_commit(1, Ring("r0", frozenset({"t00", "t01"}), c=1.0, ell=1, seq=0))
+    journal.append(_unfoldable_commit(case))
+    journal.close()
+    wal = home / "wal.jsonl"
+    full_size = wal.stat().st_size
+    clean_size = len(b"".join(wal.read_bytes().splitlines(keepends=True)[:2]))
+
+    # The strict checker flags the frame without touching the file.
+    assert _load_fsck().main(["--check", str(home)]) == 1
+    assert "frame 2: " in capsys.readouterr().err
+    assert wal.stat().st_size == full_size
+
+    # Recovery keeps the frames before it and cuts the WAL there.
+    recovered = Journal(home).recover()
+    assert recovered.epoch == 1
+    assert [ring.rid for ring in recovered.rings] == ["r0"]
+    assert recovered.recovery["torn_tail"] is True
+    assert recovered.recovery["damage"].startswith("frame 2: ")
+    assert recovered.recovery["truncated_bytes"] == full_size - clean_size
+    assert wal.stat().st_size == clean_size
+    assert Journal(home).recover().recovery["torn_tail"] is False
 
 
 def test_double_appended_commit_frame_replays_once(tmp_path):

@@ -150,7 +150,7 @@ def test_stats_surfaces_resilience_counters_from_the_solver():
     resilience = stats["resilience"]
     assert resilience["faults_injected"] >= 1
     assert resilience["rung_served"] == {"exact": 1}
-    for key in ("retries", "worker_lost", "checkpoints", "degradations"):
+    for key in ("retries", "worker_lost", "degradations"):
         assert resilience[key] == 0
 
 

@@ -112,6 +112,10 @@ def damage_lines(doc: dict) -> list[str]:
             f"({lost} byte(s) past the last valid frame)"
         )
     recovery = doc.get("recovery") or {}
+    damage = recovery.get("damage")
+    if damage and damage != (wal or {}).get("damage"):
+        # A CRC-valid frame the replay could not fold.
+        reasons.append(f"wal {wal['file']}: {damage}")
     for note in recovery.get("notes", []):
         if note not in " ".join(reasons):
             reasons.append(note)
