@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint chaos bench-smoke bench docs telemetry-smoke shard-smoke recover-smoke servebench-smoke verify
+.PHONY: test lint chaos bench-smoke bench docs telemetry-smoke shard-smoke recover-smoke servebench-smoke pairs verify
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -76,5 +76,16 @@ recover-smoke:
 # counts in both runs.
 servebench-smoke:
 	$(PYTHON) -m pytest servebench/test_servebench.py -q
+
+# A change against its parent on one servebench workload: alternating
+# pairs of full runs, each metric's median and quartiles per side, wins
+# out of pairs and the BENCHMARK.json bounds.  PARENT is a second
+# checkout, of the parent commit:
+#   make pairs PARENT=../parent WORKLOAD=spend-flow PAIRS=10 SEED=701
+WORKLOAD ?= spend-flow
+PAIRS ?= 10
+SEED ?= 1
+pairs:
+	$(PYTHON) tools/servebench_pairs.py $(PARENT) . --workload $(WORKLOAD) --pairs $(PAIRS) --seed $(SEED)
 
 verify: test chaos bench-smoke shard-smoke recover-smoke telemetry-smoke servebench-smoke docs

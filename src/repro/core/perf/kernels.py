@@ -314,11 +314,14 @@ class KernelState:
                         return True
                 return False
 
-            for size in range(1, len(positions) + 1):
-                for chosen in subset_combinations(positions, size):
-                    if descend(0, chosen, self.full, None, ()):
-                        return True
-            return False
+            try:
+                for size in range(1, len(positions) + 1):
+                    for chosen in subset_combinations(positions, size):
+                        if descend(0, chosen, self.full, None, ()):
+                            return True
+                return False
+            finally:
+                del descend  # it calls itself through its cell: break the cycle
 
         if sweep_target(None, c, ell):
             return "dtrs"

@@ -158,7 +158,10 @@ class WorldSet:
                 backtrack(depth + 1)
                 used.discard(token)
 
-        backtrack(0)
+        try:
+            backtrack(0)
+        finally:
+            del backtrack  # it calls itself through its cell: break the cycle
         return columns, (worlds if count else 1)
 
     def extend(self, candidate: Ring, deadline: float | None = None) -> "WorldSet":
@@ -370,31 +373,29 @@ class WorldSet:
                 events.emit(events.DtrsSweep(memo_hit=False, found=1))
             return list(result)
 
-        for size in range(1, cap + 1):
-            for chosen_positions in subset_combinations(positions, size):
+        def descend(depth: int, mask: int, pairs: tuple[tuple[int, int], ...]) -> None:
+            check_deadline()
+            if mask == 0:
+                return  # unrealizable — no world holds these pairs
+            if depth == size:
+                pair_set = frozenset(pairs)
+                if index.dominated(pair_set):
+                    return
+                ht = determined_ht(mask)
+                if ht is not None:
+                    index.add(pair_set)
+                    found.append((pair_set, ht))
+                return
+            pos = chosen_positions[depth]
+            for token, pair_mask in pairs_by_position[pos]:
+                descend(depth + 1, mask & pair_mask, pairs + ((pos, token),))
 
-                def descend(
-                    depth: int, mask: int, pairs: tuple[tuple[int, int], ...]
-                ) -> None:
-                    check_deadline()
-                    if mask == 0:
-                        return  # unrealizable — no world holds these pairs
-                    if depth == size:
-                        pair_set = frozenset(pairs)
-                        if index.dominated(pair_set):
-                            return
-                        ht = determined_ht(mask)
-                        if ht is not None:
-                            index.add(pair_set)
-                            found.append((pair_set, ht))
-                        return
-                    pos = chosen_positions[depth]
-                    for token, pair_mask in pairs_by_position[pos]:
-                        descend(
-                            depth + 1, mask & pair_mask, pairs + ((pos, token),)
-                        )
-
-                descend(0, full, ())
+        try:
+            for size in range(1, cap + 1):
+                for chosen_positions in subset_combinations(positions, size):
+                    descend(0, full, ())
+        finally:
+            del descend  # it calls itself through its cell: break the cycle
 
         result = [
             Dtrs(

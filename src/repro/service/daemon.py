@@ -43,6 +43,7 @@ Example::
 
 from __future__ import annotations
 
+import gc
 import random
 import threading
 import time
@@ -331,7 +332,11 @@ class SelectionService:
         exact window quantiles, rolling rates, gauges, captured solver
         counters) and ``resilience`` (ladder rungs taken,
         supervised-scan retries, injected faults — the counters that
-        previously only reached bench artifacts).
+        previously only reached bench artifacts).  ``gc`` is the
+        process's cyclic collector, one ``{collections, collected,
+        uncollectable}`` row per generation 0..2 from one
+        :func:`gc.get_stats` read; the exact solver leaves no reference
+        cycle, so serving selects adds nothing to ``collected``.
         """
         with self._counters_lock:
             counters = dict(sorted(self.counters.items()))
@@ -346,6 +351,7 @@ class SelectionService:
             "caches_invalidated": self.state.caches_invalidated,
             "delta": dict(self.state.delta_counters),
             "counters": counters,
+            "gc": gc.get_stats(),
         }
         if self.journal is not None:
             payload["journal"] = self.journal.stats()

@@ -47,8 +47,11 @@ gracefully: the first frame that fails its CRC, fails to parse, has an
 or is a commit whose ring doc does not parse ends the replay, the file
 is truncated back to the last valid frame, and the damage is surfaced
 as a typed ``recovered`` block (``tests/test_service_recovery.py``
-pins all of it).  A snapshot that fails validation falls back to the
-next older one rather than aborting recovery.
+pins all of it).  A snapshot that fails validation (its CRC, its key,
+or a ``data`` that does not parse into a chain state) falls back to the
+next older one, or to the genesis frame, rather than aborting recovery;
+a genesis frame whose ``data`` does not parse, with no usable snapshot
+to stand in for it, raises :class:`JournalError` naming the frame.
 
 Fault sites (``journal.append``, ``journal.fsync``,
 ``journal.replay``) hook the same deterministic
@@ -80,6 +83,7 @@ __all__ = [
     "Journal",
     "encode_frame",
     "decode_frame",
+    "decode_state",
     "scan_frames",
     "metrics_lines",
     "ring_to_doc",
@@ -255,6 +259,29 @@ def ring_from_doc(doc: Mapping) -> Ring:
         ell=int(doc["ell"]),
         seq=int(doc["seq"]),
     )
+
+
+def decode_state(body: Mapping) -> tuple[TokenUniverse, list[Ring], int | None]:
+    """The ``(universe, rings, batches)`` a genesis or snapshot frame holds.
+
+    Raises:
+        JournalCorruption: the frame's ``data`` does not parse into a
+            chain state (missing, not an object, a universe mapping a
+            token to something unhashable, a ring doc that does not
+            parse, non-integer ``batches``).
+    """
+    data = body.get("data")
+    if not isinstance(data, dict):
+        raise JournalCorruption(f"{body.get('op')} frame has no data object")
+    try:
+        universe = TokenUniverse(dict(data["universe"]))
+        rings = [ring_from_doc(doc) for doc in data["rings"]]
+        batches = data.get("batches")
+        return universe, rings, None if batches is None else int(batches)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise JournalCorruption(
+            f"{body.get('op')} data does not parse ({type(exc).__name__}: {exc})"
+        ) from None
 
 
 def _state_doc(
@@ -641,8 +668,9 @@ class Journal:
             self.wal_path.exists() and self.wal_path.stat().st_size > 0
         )
 
-    def _load_base(self) -> tuple[dict | None, str, list[str]]:
-        """The newest valid snapshot body and its text, plus notes on any skipped."""
+    def _load_base(self) -> tuple[dict | None, str, tuple | None, list[str]]:
+        """The newest valid snapshot: its body, its text and the state it
+        decodes to, plus notes on any snapshot skipped."""
         notes: list[str] = []
         for path in sorted(self._snapshot_paths(), reverse=True):
             try:
@@ -658,8 +686,13 @@ class Journal:
             if problem is not None:
                 notes.append(f"snapshot {path.name} unusable ({problem}); skipped")
                 continue
-            return body, line[9:], notes
-        return None, "", notes
+            try:
+                state = decode_state(body)
+            except JournalCorruption as exc:
+                notes.append(f"snapshot {path.name} unusable ({exc}); skipped")
+                continue
+            return body, line[9:], state, notes
+        return None, "", None, notes
 
     def recover(self, truncate: bool = True) -> RecoveredState | None:
         """Replay snapshot + WAL tail into a :class:`RecoveredState`.
@@ -676,31 +709,36 @@ class Journal:
         journal did not write) is re-encoded once, here.
 
         Raises:
-            JournalError: a WAL exists but neither a genesis frame nor
-                a snapshot does — there is no base state to replay onto.
+            JournalError: a WAL exists but no usable snapshot does, and
+                the WAL does not open with a usable genesis frame —
+                there is no base state to replay onto.
         """
         plan = faults.active()
         if plan is not None:
             plan.check("journal.replay")
         if not self.exists():
             return None
-        base, base_text, notes = self._load_base()
+        base, base_text, state, notes = self._load_base()
         frames, texts, ends, damage = _scan(self.wal_path)
         first = 0  # index of the first WAL frame to fold
         if base is None:
-            # No snapshot yet: the genesis frame must lead the WAL.
+            # No usable snapshot: the genesis frame must lead the WAL.
             if not frames or frames[0].get("op") != "genesis":
                 raise JournalError(
                     f"{self.wal_path} has no genesis frame and no snapshot "
                     f"exists; cannot reconstruct state"
                 )
             base, base_text = frames[0], texts[0]
+            try:
+                state = decode_state(base)
+            except JournalCorruption as exc:
+                raise JournalError(
+                    f"{self.wal_path} frame 0: genesis unusable ({exc}) and no "
+                    f"usable snapshot exists; cannot reconstruct state"
+                ) from None
             first = 1
 
-        data = base["data"]
-        universe = TokenUniverse(dict(data["universe"]))
-        rings = [ring_from_doc(doc) for doc in data["rings"]]
-        batches = data.get("batches")
+        universe, rings, batches = state
         epoch = int(base["epoch"])
         seen = {ring.rid for ring in rings}
         pieces = _slice_state(base_text, base) or (
@@ -764,7 +802,7 @@ class Journal:
             epoch=epoch,
             universe=universe,
             rings=tuple(rings),
-            batches=None if batches is None else int(batches),
+            batches=batches,
             recovery=recovery,
         )
 

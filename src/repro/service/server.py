@@ -24,10 +24,10 @@ lockstep loop.
 
 A malformed line never kills the session: it is answered with a
 ``bad_request`` rejection and the loop continues, so one buggy client
-request cannot take the service down for everyone else.  Over the
-socket that includes a line that is not valid UTF-8 and a line longer
-than :data:`MAX_LINE_BYTES`, which is discarded up to its newline
-rather than buffered.
+request cannot take the service down for everyone else.  That
+includes a line longer than :data:`MAX_LINE_BYTES`, which is answered
+once and discarded up to its newline rather than buffered, and, over
+the socket, a line that is not valid UTF-8.
 
 The ``service`` argument is duck-typed: anything with the
 :class:`~repro.service.daemon.SelectionService` front-end surface —
@@ -57,8 +57,9 @@ from .protocol import (
 
 __all__ = ["MAX_LINE_BYTES", "handle_line", "serve_stdio", "serve_socket"]
 
-#: Longest request line, in bytes without its newline, that the socket
-#: front end reads; a longer one is answered ``bad_request``.
+#: Longest request line, without its newline, that a front end reads; a
+#: longer one is answered ``bad_request``.  The socket counts bytes; the
+#: stdio front end reads decoded text and counts characters.
 MAX_LINE_BYTES = 1 << 20
 
 
@@ -231,7 +232,9 @@ def serve_stdio(service, in_stream: IO[str], out_stream: IO[str]) -> int:
 
     Returns the number of responses written.  Responses are flushed
     per line, in request order; requests are admitted as they arrive
-    (see :class:`_Session`), so a burst of selects micro-batches.
+    (see :class:`_Session`), so a burst of selects micro-batches.  A
+    line longer than :data:`MAX_LINE_BYTES` is answered ``bad_request``
+    once and skipped (see :func:`_stream_lines`).
     """
 
     def write_line(text: str) -> None:
@@ -243,12 +246,30 @@ def serve_stdio(service, in_stream: IO[str], out_stream: IO[str]) -> int:
         target=session.write_loop, name="repro-stdio-writer", daemon=True
     )
     writer.start()
-    for line in in_stream:
-        if not session.feed(line):
+    for line in _stream_lines(in_stream):
+        if line is None:
+            session.reject(f"request line longer than {MAX_LINE_BYTES} characters")
+        elif not session.feed(line):
             break
     session.finish()
     writer.join()
     return session.served
+
+
+def _stream_lines(stream: IO[str]) -> Iterator[str | None]:
+    """Yield the lines of a text stream, like :func:`_connection_lines`.
+
+    A line longer than :data:`MAX_LINE_BYTES` characters is yielded
+    once as ``None`` and discarded up to its newline, read in pieces of
+    at most that size, so the reader holds at most that much of it.
+    """
+    while line := stream.readline(MAX_LINE_BYTES + 1):
+        if line.endswith("\n") or len(line) <= MAX_LINE_BYTES:
+            yield line
+            continue
+        yield None
+        while (rest := stream.readline(MAX_LINE_BYTES)) and not rest.endswith("\n"):
+            pass
 
 
 def _connection_lines(sock: socket.socket) -> Iterator[bytes | None]:

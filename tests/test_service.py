@@ -18,6 +18,8 @@ The batching determinism trick used throughout: submit against a
 from __future__ import annotations
 
 import contextlib
+import os
+import select
 import socket
 import threading
 
@@ -38,7 +40,7 @@ from repro.service import (
 from repro.service.batching import EPOCH_ANY
 from repro.service.state import DuplicateRingId
 from repro.service.protocol import decode, encode
-from repro.service.server import MAX_LINE_BYTES, handle_line, serve_socket
+from repro.service.server import MAX_LINE_BYTES, handle_line, serve_socket, serve_stdio
 
 
 def small_universe() -> TokenUniverse:
@@ -377,6 +379,16 @@ def test_fault_plan_requests_bypass_the_memo():
     assert "memo.hits" not in service.counters
 
 
+def test_stats_reports_the_cyclic_collector_per_generation():
+    service = SelectionService(small_universe(), history())
+    line, _ = handle_line(service, encode({"op": "stats", "id": "s"}))
+    block = decode(line)["gc"]
+    assert [sorted(row) for row in block] == [
+        ["collected", "collections", "uncollectable"]
+    ] * 3
+    assert all(type(value) is int and value >= 0 for row in block for value in row.values())
+
+
 # -- protocol ----------------------------------------------------------------
 
 
@@ -477,4 +489,49 @@ def test_socket_discards_an_over_long_line_with_one_reply(tmp_path):
             conn.sendall(b"x" * MAX_LINE_BYTES)
         conn.sendall(b"\n" + select_line("after"))
         answered = decode(replies.readline().decode())
+        assert (answered["id"], answered["status"]) == ("after", "ok")
+
+
+@contextlib.contextmanager
+def stdio_session():
+    """A live ``serve_stdio`` session reading and writing over two pipes."""
+    requests_in, requests_out = os.pipe()
+    replies_in, replies_out = os.pipe()
+    with SelectionService(small_universe(), history()) as service, \
+            open(requests_in, encoding="utf-8") as in_stream, \
+            open(replies_out, "w", encoding="utf-8") as out_stream, \
+            open(requests_out, "wb") as requests, \
+            open(replies_in, "rb", buffering=0) as replies:
+        server = threading.Thread(
+            target=serve_stdio, args=(service, in_stream, out_stream), daemon=True
+        )
+        server.start()
+
+        def send(data: bytes) -> None:
+            requests.write(data)
+            requests.flush()
+
+        def reply() -> dict:
+            assert select.select([replies], [], [], 30.0)[0], "no reply in 30 s"
+            return decode(replies.readline().decode())
+
+        yield send, reply
+        send(b'{"op":"shutdown"}\n')
+        assert reply()["shutdown"] is True
+        server.join(timeout=5.0)
+        assert not server.is_alive()
+
+
+def test_stdio_discards_an_over_long_line_with_one_reply():
+    with stdio_session() as (send, reply):
+        # Same contract as the socket: one reply as soon as the line
+        # passes the bound, no newline in sight, and the rest dropped.
+        send(b"x" * (MAX_LINE_BYTES + 1))
+        rejected = reply()
+        assert (rejected["status"], rejected["code"]) == ("rejected", "bad_request")
+        assert str(MAX_LINE_BYTES) in rejected["detail"]
+        for _ in range(2):
+            send(b"x" * MAX_LINE_BYTES)
+        send(b"\n" + select_line("after"))
+        answered = reply()
         assert (answered["id"], answered["status"]) == ("after", "ok")

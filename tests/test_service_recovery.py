@@ -369,6 +369,52 @@ def test_recover_truncates_at_an_unfoldable_frame(tmp_path, capsys, case):
     assert Journal(home).recover().recovery["torn_tail"] is False
 
 
+@pytest.mark.parametrize("case", ["no-data", "token-maps-to-a-list"])
+def test_unusable_genesis_without_a_snapshot_raises_naming_the_frame(
+    tmp_path, capsys, case
+):
+    home = tmp_path / "j"
+    body = {
+        "version": 1, "op": "genesis", "epoch": 0, "seq": -1,
+        "data": _state_doc(recovery_universe(), (), None),
+    }
+    if case == "no-data":
+        del body["data"]
+    else:
+        body["data"]["universe"]["t00"] = ["h0"]
+    journal = Journal(home, sync_every=1, snapshot_every=0)
+    journal.append(body)
+    journal.close()
+
+    with pytest.raises(JournalError, match="frame 0: genesis unusable"):
+        Journal(home).recover()
+    # The checker reports the state unrecoverable instead of crashing.
+    assert _load_fsck().main(["--check", str(home)]) == 2
+    assert "frame 0: genesis unusable" in capsys.readouterr().out
+
+
+def test_recover_falls_back_past_a_snapshot_without_data(tmp_path, capsys):
+    home = tmp_path / "j"
+    journal = Journal(home, sync_every=1, snapshot_every=0)
+    journal.append_genesis(recovery_universe(), (), None)
+    ring = Ring("r0", frozenset({"t00", "t01"}), c=1.0, ell=1, seq=0)
+    journal.append_commit(1, ring)
+    journal.close()
+    (home / "snapshot-00000001.json").write_text(
+        encode_frame({"version": 1, "op": "snapshot", "epoch": 1, "seq": 0}) + "\n"
+    )
+
+    recovered = Journal(home).recover()
+    assert (recovered.epoch, recovered.rings) == (1, (ring,))
+    assert recovered.recovery["snapshot_epoch"] == 0  # the genesis
+    assert recovered.recovery["notes"] == [
+        "snapshot snapshot-00000001.json unusable "
+        "(snapshot frame has no data object); skipped"
+    ]
+    assert _load_fsck().main(["--check", str(home)]) == 1
+    assert "snapshot frame has no data object" in capsys.readouterr().err
+
+
 def test_double_appended_commit_frame_replays_once(tmp_path):
     universe = recovery_universe()
     journal = Journal(tmp_path / "j", sync_every=1, snapshot_every=0)

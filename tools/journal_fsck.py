@@ -25,7 +25,7 @@ Modes:
 
 Exit codes: 0 clean (or recoverable in report mode), 1 damaged under
 ``--check`` (or still damaged after ``--truncate``), 2 unrecoverable
-(no genesis frame and no usable snapshot).
+(no usable genesis frame and no usable snapshot).
 
 Zero third-party dependencies; imports :mod:`repro.service.journal`
 from ``src/`` directly so it runs from a fresh checkout without an
@@ -47,6 +47,7 @@ from repro.service.journal import (  # noqa: E402
     JournalCorruption,
     JournalError,
     decode_frame,
+    decode_state,
     scan_frames,
 )
 
@@ -60,9 +61,10 @@ def inspect(directory: Path) -> dict:
         entry: dict = {"file": path.name}
         try:
             body = decode_frame(path.read_text(encoding="utf-8").rstrip("\n"))
+            _, rings, _ = decode_state(body)
             entry["ok"] = True
             entry["epoch"] = body.get("epoch")
-            entry["rings"] = len(body.get("data", {}).get("rings", []))
+            entry["rings"] = len(rings)
         except (OSError, JournalCorruption) as exc:
             entry["ok"] = False
             entry["error"] = str(exc)
