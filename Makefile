@@ -77,11 +77,12 @@ recover-smoke:
 servebench-smoke:
 	$(PYTHON) -m pytest servebench/test_servebench.py -q
 
-# A change against its parent on one servebench workload: alternating
-# pairs of full runs, each metric's median and quartiles per side, wins
-# out of pairs and the BENCHMARK.json bounds.  PARENT is a second
-# checkout, of the parent commit:
-#   make pairs PARENT=../parent WORKLOAD=spend-flow PAIRS=10 SEED=701
+# A change against its parent on servebench workloads: alternating
+# pairs of full runs (each pair runs every named workload on its seed),
+# per workload each metric's median and quartiles per side, wins out of
+# pairs and the BENCHMARK.json bounds.  PARENT is a second checkout, of
+# the parent commit:
+#   make pairs PARENT=../parent WORKLOAD="cold-selects spend-flow memo-reads" PAIRS=10 SEED=701
 WORKLOAD ?= spend-flow
 PAIRS ?= 10
 SEED ?= 1

@@ -25,6 +25,7 @@ __all__ = [
     "satisfies_recursive_diversity",
     "diversity_deficit",
     "ht_counts_satisfy",
+    "ht_labels_satisfy",
     "ht_counts_deficit",
     "most_frequent_count",
 ]
@@ -80,6 +81,21 @@ def ht_counts_satisfy(counts: Counter[str], c: float, ell: int) -> bool:
     if not counts:
         return False
     return satisfies_recursive_diversity(sorted_frequencies(counts), c, ell)
+
+
+def ht_labels_satisfy(labels: Iterable[str], c: float, ell: int) -> bool:
+    """Recursive (c, l)-diversity of an HT multiset given label by label.
+
+    Equal to ``ht_counts_satisfy(Counter(labels), c, ell)`` without
+    building the Counter: the exact solver's kernel asks it once per
+    scanned candidate and once per DTRS its sweep meets.
+    """
+    counts: dict[str, int] = {}
+    for label in labels:
+        counts[label] = counts.get(label, 0) + 1
+    if not counts:
+        return False
+    return satisfies_recursive_diversity(sorted(counts.values(), reverse=True), c, ell)
 
 
 def ht_counts_deficit(counts: Counter[str], c: float, ell: int) -> float:

@@ -32,7 +32,22 @@ materializing a single extended world:
   *early-exited* at the first violating minimal DTRS.  Infeasible
   candidates therefore resolve without materializing a single extended
   world or enumerating past the first violation; a clean candidate
-  pays the full sweep and earns an exact "feasible" verdict.
+  pays the full sweep and earns an exact "feasible" verdict;
+* **the flat pass** — before the sweep sets up anything, one pass over
+  two candidate-independent tables of the base (the mask of every base
+  ring token, the mask of every base pair) answers the commonest
+  rejection: one related ring taking a candidate token pins the
+  candidate's HT.  Let ``G_h`` be the union of the slices of the
+  candidate tokens of HT ``h``.  The empty pair set determines the
+  candidate's HT iff there is one group; otherwise a base pair with
+  mask ``m`` is a determining set iff ``m`` touches exactly one
+  ``G_h``, and it is minimal, since its only proper subset is the empty
+  set.  Its HT multiset holds one token, so recursive (c, l)-diversity
+  reads ``1 < c * tail`` with ``tail`` 1 when l = 1 and 0 otherwise: it
+  fails unless l = 1 and c > 1.  The sweep meets that DTRS at size 1 of
+  the candidate row, where no other size-1 set dominates it, so the
+  pass changes when a ``dtrs`` verdict is found, never which.  On
+  servebench's batches nearly every ``dtrs`` verdict is of this kind.
 
 :func:`prefilter_chunk` returns verdicts in chunk order, up to and
 including the first ``feasible`` one: Algorithm 2 stops at a stratum's
@@ -56,7 +71,7 @@ from itertools import combinations as subset_combinations
 from typing import Iterable, Sequence
 
 from ...obs import events
-from ..diversity import ht_counts_satisfy
+from ..diversity import ht_labels_satisfy, satisfies_recursive_diversity
 from ..ring import Ring, TokenUniverse
 from .worlds import _DEADLINE_STRIDE, DeadlineExceeded, WorldSet
 
@@ -71,6 +86,7 @@ __all__ = [
 
 #: Candidates per batched pre-filter call.
 KERNEL_BATCH_SIZE = 64
+
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,14 +125,24 @@ class KernelState:
     everything :meth:`verdict_of` needs to resolve a candidate with a
     handful of mask operations.  Bit ``w`` of a mask is set iff base
     world ``w`` is in it; ``full`` has every world's bit.
+
+    Two flat, candidate-independent tables feed the opening pass of
+    :meth:`verdict_of`: ``ring_token_masks``, the world mask of every
+    token of every base ring (0 where no world gives the token to its
+    ring), and ``pair_masks``, the mask of every realizable base
+    (position, token) pair.
     """
 
-    __slots__ = ("rows", "presence", "full")
+    __slots__ = ("rows", "presence", "full", "ring_token_masks", "pair_masks")
 
     def __init__(self, rows: list[_Row], presence: dict[str, int], full: int) -> None:
         self.rows = rows
         self.presence = presence
         self.full = full
+        self.ring_token_masks = [
+            row.token_masks.get(name, 0) for row in rows for name in row.ring.tokens
+        ]
+        self.pair_masks = [mask for row in rows for _, mask in row.pairs]
 
     # -- bulk world extension ---------------------------------------------
 
@@ -155,41 +181,78 @@ class KernelState:
         violating minimal DTRS for any closure ring).  The candidate's
         own HT gate is the caller's job (it needs no kernel state).
 
-        The sweep enumerates minimal determining pair sets per closure
-        target in ascending size on the factorized masks — the size-0/1
-        pre-checks and the size-2+ backtracking share one dominance-
-        pruned loop — and exits at the *first* violating minimal DTRS,
-        which is what makes infeasible candidates cheap: no extended
-        world is ever materialized and no enumeration runs past the
-        violation.
+        A flat pass over the two base tables answers first, and counts
+        as one sweep step toward the deadline stride:
+
+        * ``"eliminated"`` when a candidate token has no free world,
+          or a base ring token's mask misses the slices' union;
+        * ``"dtrs"`` when every slice shares one HT: the empty pair set
+          determines the candidate's HT (a size-0 DTRS);
+        * ``"dtrs"`` when one base pair's mask touches exactly one HT
+          group of the slices: that size-1 pair set determines the
+          candidate's HT and is minimal, since the empty set does not,
+          and its one-token HT multiset fails (c, l) unless l = 1 and
+          c > 1.  The sweep would meet the same DTRS at size 1, where
+          no other size-1 set can dominate it.
+
+        Only then does the recursive sweep run.  It enumerates minimal
+        determining pair sets per closure target in ascending size on
+        the factorized masks and exits at the *first* violating minimal
+        DTRS: no extended world is ever materialized and no enumeration
+        runs past the violation.
 
         Raises:
-            DeadlineExceeded: the sweep passed ``deadline``.
+            DeadlineExceeded: the pass or the sweep passed ``deadline``.
         """
+        # The pass is the verdict's first step toward the deadline stride.
+        if deadline is not None and 1 % _DEADLINE_STRIDE == 0:
+            if time.perf_counter() > deadline:
+                raise DeadlineExceeded("kernel DTRS sweep passed its deadline")
         extension = self.extend_one(tokens)
+        slices = extension.slices
         union = extension.union
-        if not union:
-            return "eliminated"
-
-        # Non-eliminated over the closure: every base ring keeps every
-        # token possible, and every candidate token has a free world.
-        for row in self.rows:
-            token_masks = row.token_masks
-            for name in row.ring.tokens:
-                mask = token_masks.get(name)
-                if mask is None or not mask & union:
-                    return "eliminated"
-        for free in extension.slices.values():
+        # Non-eliminated over the closure: every candidate token has a
+        # free world (so the union is nonzero), and every base ring
+        # keeps every token possible.
+        groups: dict[str, int] = {}
+        for name, free in slices.items():
             if not free:
                 return "eliminated"
-
-        # HT grouping of the candidate row's slices (tokens sharing an
-        # HT merge — determination is about HTs, not tokens).
-        slice_ht: dict[str, int] = {}
-        for name, free in extension.slices.items():
             ht = universe.ht_of(name)
-            held = slice_ht.get(ht)
-            slice_ht[ht] = free if held is None else held | free
+            groups[ht] = groups.get(ht, 0) | free
+        for mask in self.ring_token_masks:
+            if not mask & union:
+                return "eliminated"
+        if len(groups) == 1:
+            return "dtrs"
+        if not satisfies_recursive_diversity([1], c, ell):
+            group_masks = tuple(groups.values())
+            for mask in self.pair_masks:
+                touched = 0
+                for group in group_masks:
+                    if mask & group:
+                        touched += 1
+                if touched == 1:
+                    return "dtrs"
+        return self._sweep(universe, slices, union, groups, c, ell, deadline)
+
+    def _sweep(
+        self,
+        universe: TokenUniverse,
+        slices: dict[str, int],
+        union: int,
+        slice_ht: dict[str, int],
+        c: float,
+        ell: int,
+        deadline: float | None,
+    ) -> str:
+        """The complete DTRS sweep of :meth:`verdict_of`'s survivors.
+
+        ``slice_ht`` groups the candidate row's slices by HT (tokens
+        sharing an HT merge — determination is about HTs, not tokens).
+        The size-0/1 checks and the size-2+ backtracking share one
+        dominance-pruned loop; the step count starts at the pass's one.
+        """
 
         def det_base(row: _Row, mask: int) -> str | None:
             # mask is already restricted to realizable extended worlds
@@ -211,16 +274,15 @@ class KernelState:
             return found
 
         def violates(pair_set, ring_c: float, ring_ell: int) -> bool:
-            dtrs_tokens = frozenset(name for _, name in pair_set)
-            return not ht_counts_satisfy(
-                universe.ht_counts(dtrs_tokens), ring_c, ring_ell
+            dtrs_tokens = {name for _, name in pair_set}
+            return not ht_labels_satisfy(
+                map(universe.ht_of, dtrs_tokens), ring_c, ring_ell
             )
 
         rows = self.rows
         count = len(rows)
         cand_position = count  # pseudo-position id of the candidate row
-        slices = extension.slices
-        steps = 0
+        steps = 1  # the pass took the first step
 
         def check_deadline() -> None:
             nonlocal steps
@@ -388,7 +450,7 @@ def prefilter_chunk(
     try:
         for mixin_tuple in chunk:
             tokens = frozenset(mixin_tuple) | {target}
-            if not ht_counts_satisfy(universe.ht_counts(tokens), c, ell):
+            if not ht_labels_satisfy(map(universe.ht_of, tokens), c, ell):
                 verdicts.append("ht")
                 continue
             key = cache.related_key(tokens)

@@ -19,6 +19,7 @@ counterparts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -63,7 +64,7 @@ class DamsInstance:
     def __post_init__(self) -> None:
         if self.target_token not in self.universe:
             raise ValueError(f"target token {self.target_token!r} not in universe")
-        if self.c <= 0 or self.ell < 1:
+        if not math.isfinite(self.c) or self.c <= 0 or self.ell < 1:
             raise ValueError("invalid diversity requirement")
         if len({ring.rid for ring in self.rings}) != len(self.rings):
             raise ValueError("ring history contains duplicate rids")

@@ -57,7 +57,7 @@ from ..obs import events, metrics, trace
 from ..obs.clock import Clock
 from ..obs.telemetry import FanoutRecorder
 from ..resilience import faults
-from ..resilience.ladder import ConstraintViolation, ladder_select
+from ..resilience.ladder import ConstraintViolation, ladder_select, verify_ring
 from .batching import EPOCH_ANY, AdmissionQueue, Batch
 from .journal import Journal, metrics_lines
 from .protocol import (
@@ -649,6 +649,13 @@ class SelectionService:
                 max_mixins=request.max_mixins,
                 cache=cache,
             )
+            # The same Definition 5 re-check as every ladder answer, on
+            # world sets built afresh: a ring the solver's cached path
+            # got wrong is refused, never served.
+            try:
+                verify_ring(instance, solved.ring.tokens)
+            except ConstraintViolation as exc:
+                raise ConstraintViolation("exact", exc.failed) from None
             return SelectResponse(
                 request_id=request.request_id,
                 status="ok",

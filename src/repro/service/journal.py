@@ -49,9 +49,13 @@ is truncated back to the last valid frame, and the damage is surfaced
 as a typed ``recovered`` block (``tests/test_service_recovery.py``
 pins all of it).  A snapshot that fails validation (its CRC, its key,
 or a ``data`` that does not parse into a chain state) falls back to the
-next older one, or to the genesis frame, rather than aborting recovery;
-a genesis frame whose ``data`` does not parse, with no usable snapshot
-to stand in for it, raises :class:`JournalError` naming the frame.
+next older one, or to the genesis frame, rather than aborting recovery,
+as long as the WAL still covers the commits the skipped snapshot held:
+a folded commit whose epoch is not the current epoch + 1 raises
+:class:`JournalError` naming the missing epochs and the skipped
+snapshot.  A genesis frame whose ``data`` does not parse, with no
+usable snapshot to stand in for it, raises :class:`JournalError`
+naming the frame.
 
 Fault sites (``journal.append``, ``journal.fsync``,
 ``journal.replay``) hook the same deterministic
@@ -408,6 +412,21 @@ def _slice_commit(text: str, body: Mapping) -> str | None:
     return text[len(_COMMIT_HEAD):end]
 
 
+def _epoch_gap(
+    wal_path: Path, index: int, epoch: int, found: int, notes: Sequence[str]
+) -> str:
+    """Why a commit frame at epoch ``found`` cannot fold onto ``epoch``;
+    ``notes`` name the snapshots the base fell back past."""
+    first, last = epoch + 1, found - 1
+    missing = f"epoch {first} is" if first == last else f"epochs {first}-{last} are"
+    skipped = f" [{'; '.join(notes)}]" if notes else ""
+    return (
+        f"{wal_path} frame {index}: commit at epoch {found} does not follow "
+        f"epoch {epoch}: {missing} missing{skipped}; refusing to recover a "
+        f"chain that lost acknowledged commits"
+    )
+
+
 @dataclass(slots=True)
 class RecoveredState:
     """What a journal replay reconstructed, plus how it went.
@@ -711,7 +730,10 @@ class Journal:
         Raises:
             JournalError: a WAL exists but no usable snapshot does, and
                 the WAL does not open with a usable genesis frame —
-                there is no base state to replay onto.
+                there is no base state to replay onto; or a folded
+                commit's epoch is not the current epoch + 1 — the base
+                fell back past a skipped snapshot that alone held the
+                commits in between.  Nothing is truncated then.
         """
         plan = faults.active()
         if plan is not None:
@@ -757,6 +779,13 @@ class Journal:
             token = str(body.get("token", ""))
             if token in seen:
                 continue  # idempotency: a double-appended frame is a no-op
+            if body["epoch"] != epoch + 1:
+                # The commits in between were acknowledged, and the WAL
+                # held them only until a snapshot was written: folding
+                # past them would serve a chain that lost them.
+                raise JournalError(
+                    _epoch_gap(self.wal_path, index, epoch, body["epoch"], notes)
+                )
             try:
                 ring = ring_from_doc(body["data"])
             except (KeyError, TypeError, ValueError) as exc:

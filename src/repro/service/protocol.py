@@ -47,6 +47,7 @@ Example::
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -63,6 +64,7 @@ __all__ = [
     "ERROR_FAULT_INJECTED",
     "ERROR_INTERNAL",
     "ProtocolError",
+    "finite_float",
     "SelectRequest",
     "SelectResponse",
     "encode",
@@ -93,6 +95,20 @@ ERROR_INTERNAL = "internal_error"
 
 class ProtocolError(ValueError):
     """A line that cannot be parsed into a valid request."""
+
+
+def finite_float(value: Any, name: str) -> float:
+    """``value`` as a float, refusing NaN and the infinities.
+
+    Python's ``json`` reads ``NaN``, ``Infinity`` and ``1e999``, and
+    ``float`` reads ``"nan"``; a non-finite ``c`` fails every HT gate
+    and sends the exact search through its whole candidate space, and
+    would be echoed and journaled as a token that is not JSON.
+    """
+    number = float(value)
+    if not math.isfinite(number):
+        raise ProtocolError(f"{name} must be a finite number, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,7 +180,7 @@ class SelectRequest:
             return cls(
                 request_id=str(payload["id"]),
                 target=str(payload["target"]),
-                c=float(payload["c"]),
+                c=finite_float(payload["c"], "c"),
                 ell=int(payload["ell"]),
                 mode=str(payload.get("mode", "ladder")),
                 epoch=(
@@ -173,7 +189,7 @@ class SelectRequest:
                 ),
                 time_budget=(
                     None if payload.get("budget") is None
-                    else float(payload["budget"])
+                    else finite_float(payload["budget"], "budget")
                 ),
                 max_mixins=(
                     None if payload.get("max_mixins") is None
@@ -182,7 +198,8 @@ class SelectRequest:
                 seed=int(payload.get("seed", 0)),
                 fault_plan=payload.get("fault_plan"),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            # OverflowError: int() of an infinite float (``"ell": 1e999``).
             if isinstance(exc, ProtocolError):
                 raise
             raise ProtocolError(f"malformed select request: {exc}") from exc

@@ -53,6 +53,7 @@ from .protocol import (
     SelectRequest,
     decode,
     encode,
+    finite_float,
 )
 
 __all__ = ["MAX_LINE_BYTES", "handle_line", "serve_stdio", "serve_socket"]
@@ -89,7 +90,7 @@ def handle_line(service, line: str) -> tuple[str, bool]:
         if op == "commit":
             snapshot = service.commit_ring(
                 tokens=[str(token) for token in payload["tokens"]],
-                c=float(payload["c"]),
+                c=finite_float(payload["c"], "c"),
                 ell=int(payload["ell"]),
                 rid=None if payload.get("rid") is None else str(payload["rid"]),
             )
@@ -133,7 +134,7 @@ def handle_line(service, line: str) -> tuple[str, bool]:
         return encode(
             {"id": payload.get("id"), "status": "ok", "shutdown": True}
         ), False
-    except (ProtocolError, KeyError, TypeError, ValueError) as exc:
+    except (ProtocolError, KeyError, TypeError, ValueError, OverflowError) as exc:
         return _bad_request(str(exc)), True
 
 

@@ -43,6 +43,7 @@ alone.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -387,9 +388,12 @@ class ServiceState:
             ReservedRingId: ``rid`` starts with :data:`AUTO_RID_PREFIX`.
             DuplicateRingId: the assigned ``svc:<seq>`` id is already on
                 the chain (an initial history named a ring that way).
-            ValueError: an empty ring, invalid (c, l), or (partitioned)
-                a ring that spans batches / names unknown tokens.
+            ValueError: an empty ring, invalid (c, l) (a non-finite
+                ``c`` included), or (partitioned) a ring that spans
+                batches / names unknown tokens.
         """
+        if not math.isfinite(c):
+            raise ValueError(f"diversity parameter c must be finite, got {c!r}")
         if rid and rid.startswith(AUTO_RID_PREFIX):
             raise ReservedRingId(
                 f"ring id {rid!r} uses the prefix {AUTO_RID_PREFIX!r}, which "

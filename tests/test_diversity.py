@@ -1,5 +1,6 @@
 """Unit tests for recursive (c, l)-diversity."""
 
+import random
 from collections import Counter
 
 import pytest
@@ -8,10 +9,12 @@ from repro.core.diversity import (
     diversity_deficit,
     ht_counts_deficit,
     ht_counts_satisfy,
+    ht_labels_satisfy,
     most_frequent_count,
     satisfies_recursive_diversity,
     sorted_frequencies,
 )
+from repro.core.ring import TokenUniverse
 
 
 class TestSortedFrequencies:
@@ -118,3 +121,25 @@ class TestCounterHelpers:
     def test_most_frequent_count(self):
         assert most_frequent_count(Counter({"h1": 4, "h2": 2})) == 4
         assert most_frequent_count(Counter()) == 0
+
+
+class TestLabelPredicate:
+    @pytest.mark.parametrize("c", [0.5, 1, 1.5, 2, 5])
+    @pytest.mark.parametrize("ell", [1, 2, 3, 4, 5])
+    def test_equals_the_counter_check_on_token_multisets(self, c, ell):
+        # The kernel's Counter-free predicate must answer exactly what
+        # ht_counts_satisfy answers, on random token multisets (tokens
+        # may repeat) and on the empty one.
+        rng = random.Random(f"{c}:{ell}")
+        universe = TokenUniverse({f"t{i}": f"h{i % 6}" for i in range(12)})
+        tokens = sorted(universe.tokens)
+        multisets = [[]] + [
+            rng.choices(tokens, k=rng.randint(1, 9)) for _ in range(200)
+        ]
+        outcomes = set()
+        for multiset in multisets:
+            expected = ht_counts_satisfy(universe.ht_counts(multiset), c, ell)
+            assert ht_labels_satisfy(map(universe.ht_of, multiset), c, ell) == expected
+            outcomes.add(expected)
+        if (c, ell) in ((2, 2), (5, 1)):
+            assert outcomes == {True, False}

@@ -7,6 +7,7 @@ No daemon starts here: the pairs are result objects in the shape
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -113,3 +114,56 @@ def test_an_incorrect_run_fails(tmp_path):
     script.write_text('print("interrupted")\n')
     with pytest.raises(tool.RunFailed, match="exited 0 with no result"):
         tool.run_once(tmp_path, "spend-flow", 1, 0)
+
+
+def test_report_prints_one_table_per_workload_and_flags_any_worse_metric():
+    tool = load_tool()
+    clean = [
+        {"parent": result(0.80, 1000.0, 40.0), "change": result(0.79, 1000.0, 40.0)}
+        for _ in range(4)
+    ]
+    text, worse = tool.report(SPECS, {"spend-flow": clean, "cold-selects": canned_pairs()}, 11)
+    assert worse  # cold-selects' rss_mb is past its bound
+    tables = text.split("\n\n")
+    assert [table.splitlines()[0] for table in tables] == [
+        "spend-flow: 4 pairs, seeds 11-14",
+        "cold-selects: 10 pairs, seeds 11-20",
+    ]
+    assert "WORSE" not in tables[0] and "WORSE" in tables[1]
+    assert tool.report(SPECS, {"spend-flow": clean}, 11)[1] is False
+
+
+def test_every_pair_runs_each_workload_on_its_seed_alternating_sides(
+    tmp_path, monkeypatch, capsys
+):
+    tool = load_tool()
+    for side in tool.SIDES:
+        (tmp_path / side / "servebench").mkdir(parents=True)
+        (tmp_path / side / "servebench" / "run.py").write_text("")
+        (tmp_path / side / "src").mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(
+        json.dumps({"end_to_end": SPECS, "per_layer": []})
+    )
+    calls = []
+
+    def fake_run_once(checkout, workload, seed, trace):
+        calls.append((checkout.name, workload, seed))
+        # The change grows RSS by 10 % on memo-reads only.
+        rss = 44.0 if (checkout.name, workload) == ("change", "memo-reads") else 40.0
+        return result(0.8, 1000.0, rss)
+
+    monkeypatch.setattr(tool, "run_once", fake_run_once)
+    code = tool.main([
+        str(tmp_path / "parent"), str(tmp_path / "change"),
+        "--workload", "cold-selects", "memo-reads", "--pairs", "3", "--seed", "5",
+    ])
+    assert code == 2
+    expected = []
+    for i in range(3):
+        order = tool.SIDES if i % 2 == 0 else tool.SIDES[::-1]
+        for workload in ("cold-selects", "memo-reads"):
+            expected += [(side, workload, 5 + i) for side in order]
+    assert calls == expected
+    out = capsys.readouterr().out
+    assert "cold-selects: 3 pairs, seeds 5-7" in out
+    assert "memo-reads: 3 pairs, seeds 5-7" in out

@@ -22,10 +22,12 @@ import os
 import select
 import socket
 import threading
+import time
 
 import pytest
 
 from repro.core.bfs import bfs_select
+from repro.core.perf import kernels
 from repro.core.problem import DamsInstance
 from repro.core.ring import Ring, TokenUniverse
 from repro.service import (
@@ -38,6 +40,7 @@ from repro.service import (
     ServiceState,
 )
 from repro.service.batching import EPOCH_ANY
+from repro.service.journal import Journal
 from repro.service.state import DuplicateRingId
 from repro.service.protocol import decode, encode
 from repro.service.server import MAX_LINE_BYTES, handle_line, serve_socket, serve_stdio
@@ -434,6 +437,94 @@ def test_handle_line_answers_malformed_input_without_dying():
 
     line, keep_going = handle_line(service, encode({"op": "shutdown"}))
     assert not keep_going and decode(line)["status"] == "ok"
+
+
+def raw_line(**fields: str) -> str:
+    """A request line from raw JSON value texts (``NaN`` and ``1e999`` too)."""
+    return "{" + ",".join(f'"{key}":{value}' for key, value in fields.items()) + "}"
+
+
+@pytest.mark.parametrize(
+    "override",
+    [{"c": "NaN"}, {"c": '"nan"'}, {"c": "1e999"}, {"c": "-Infinity"},
+     {"budget": "NaN"}, {"ell": "1e999"}],
+    ids=lambda override: "-".join(f"{k}={v}" for k, v in override.items()),
+)
+def test_select_with_a_non_finite_number_is_a_bad_request(override):
+    # A NaN c fails every HT gate, so the exact search would walk the
+    # whole candidate space before answering infeasible; an infinite c
+    # would be served and echoed as a non-JSON "Infinity"; a NaN budget
+    # would silently mean none; int() of an infinite ell raised past
+    # every handler.  Each is refused before anything is solved.
+    universe = TokenUniverse({f"t{i:02d}": f"h{i % 5}" for i in range(16)})
+    fields = {"op": '"select"', "id": '"a"', "target": '"t00"', "c": "2",
+              "ell": "2", "mode": '"exact"', **override}
+    with SelectionService(universe) as service:
+        started = time.perf_counter()
+        reply, keep_going = handle_line(service, raw_line(**fields))
+        elapsed = time.perf_counter() - started
+    assert keep_going
+    payload = decode(reply)
+    assert (payload["status"], payload["code"]) == ("rejected", "bad_request")
+    assert service.counters.get("requests", 0) == 0
+    assert elapsed < 0.1
+
+
+@pytest.mark.parametrize(
+    "override", [{"c": "1e999"}, {"c": "NaN"}, {"ell": "1e999"}],
+    ids=lambda override: "-".join(f"{k}={v}" for k, v in override.items()),
+)
+def test_commit_with_a_non_finite_number_is_a_bad_request(tmp_path, override):
+    # An infinite c was acknowledged and journaled as "c":Infinity, a
+    # line no strict JSON reader accepts; an infinite ell raised past
+    # every handler.
+    journal = Journal(tmp_path / "j")
+    journal.append_genesis(small_universe(), history(), None)
+    service = SelectionService(
+        small_universe(), history(), ServiceConfig(journal=journal)
+    )
+    fields = {"op": '"commit"', "id": '"k"', "tokens": '["t3","t4"]', "c": "2",
+              "ell": "2", **override}
+    started = time.perf_counter()
+    reply, keep_going = handle_line(service, raw_line(**fields))
+    elapsed = time.perf_counter() - started
+    journal.close()
+    assert keep_going
+    payload = decode(reply)
+    assert (payload["status"], payload["code"]) == ("rejected", "bad_request")
+    assert elapsed < 0.1
+    assert service.epoch == 0
+    assert Journal(tmp_path / "j").recover().epoch == 0
+
+
+@pytest.mark.parametrize("c", [float("nan"), float("inf")])
+def test_admission_and_instances_refuse_a_non_finite_c(c):
+    state = ServiceState(small_universe(), history())
+    with pytest.raises(ValueError, match="finite"):
+        state.admit_commit(["t3", "t4"], c, 2)
+    assert state.epoch == 0
+    with pytest.raises(ValueError):
+        DamsInstance(small_universe(), history(), "t3", c=c, ell=2)
+
+
+def test_exact_mode_answers_are_reverified(monkeypatch):
+    # A kernel that calls one infeasible candidate feasible: {t2, t3}
+    # is eliminated (r1 and r2 always consume t1 and t2 between them),
+    # yet the exact search would return it as the first feasible ring.
+    original = kernels.KernelState.verdict_of
+
+    def lenient(state, universe, tokens, c, ell, deadline=None):
+        verdict = original(state, universe, tokens, c, ell, deadline=deadline)
+        return "feasible" if tokens == {"t2", "t3"} else verdict
+
+    monkeypatch.setattr(kernels.KernelState, "verdict_of", lenient)
+    instance = DamsInstance(small_universe(), history(), "t3", c=2.0, ell=2)
+    assert bfs_select(instance).ring.tokens == {"t2", "t3"}
+    with SelectionService(small_universe(), history()) as service:
+        response = service.submit_wait(request("x1"), 30.0)
+    assert (response.status, response.code) == ("error", "constraint_violation")
+    assert "non_eliminated" in response.detail
+    assert response.tokens == ()
 
 
 # -- socket front end ----------------------------------------------------------

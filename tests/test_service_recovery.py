@@ -218,7 +218,61 @@ def test_snapshot_compaction_bounds_wal_and_prunes(tmp_path):
     assert recovered.recovery["frames_replayed"] == 1
 
 
+def snapshot_frame(universe, rings, epoch: int) -> str:
+    """A snapshot file's line holding ``rings`` at ``epoch``."""
+    return encode_frame(
+        {
+            "version": 1,
+            "op": "snapshot",
+            "epoch": epoch,
+            "seq": rings[-1].seq,
+            "data": {
+                "universe": {t: universe.ht_of(t) for t in sorted(universe.tokens)},
+                "rings": [ring_to_doc(ring) for ring in rings],
+                "batches": None,
+            },
+        }
+    ) + "\n"
+
+
+def break_crc(line: str) -> str:
+    return line[:20] + ("X" if line[20] != "X" else "Y") + line[21:]
+
+
 def test_recover_falls_back_past_a_corrupt_snapshot(tmp_path):
+    # The WAL still holds every commit after the older snapshot (the
+    # newest one was written but the WAL not yet cut), so falling back
+    # to the older base loses nothing.
+    universe = recovery_universe()
+    journal = Journal(tmp_path / "j", sync_every=1, snapshot_every=0)
+    journal.append_genesis(universe, (), None)
+    rings: list[Ring] = []
+    for i in range(4):
+        ring = Ring(f"r{i}", frozenset({f"t{i:02d}"}), c=1.0, ell=1, seq=i)
+        rings.append(ring)
+        journal.append_commit(i + 1, ring)
+    journal.close()
+    home = tmp_path / "j"
+    (home / "snapshot-00000001.json").write_text(snapshot_frame(universe, rings[:1], 1))
+    (home / "snapshot-00000002.json").write_text(
+        break_crc(snapshot_frame(universe, rings[:2], 2))
+    )
+
+    recovered = Journal(home).recover()
+    # Fallback snapshot is at epoch 1; frames 2, 3 and 4 replay on top.
+    assert recovered.epoch == 4
+    assert list(recovered.rings) == rings
+    assert recovered.recovery["snapshot_epoch"] == 1
+    assert recovered.recovery["frames_replayed"] == 3
+    assert any("unusable" in note for note in recovered.recovery["notes"])
+
+
+def test_recover_refuses_an_epoch_gap_past_a_corrupt_snapshot(tmp_path, capsys):
+    # write_snapshot cut the WAL at epoch 2, so r1 (epoch 2) lives only
+    # in the newest snapshot.  Falling back past it to an older base
+    # would fold r2 and r3 onto r0 and serve a chain that lost r1: the
+    # recovery refuses, names the snapshot and the missing epoch, and
+    # leaves every file as it was.
     universe = recovery_universe()
     journal = Journal(tmp_path / "j", sync_every=1, snapshot_every=0)
     journal.append_genesis(universe, (), None)
@@ -231,33 +285,21 @@ def test_recover_falls_back_past_a_corrupt_snapshot(tmp_path):
             journal.write_snapshot(2, None)
     journal.close()
     home = tmp_path / "j"
-    # Corrupt the newest snapshot: recovery must skip it and fall back
-    # to an older valid one (planted below) instead of aborting.
+    (home / "snapshot-00000001.json").write_text(snapshot_frame(universe, rings[:1], 1))
     path = home / "snapshot-00000002.json"
-    good_line = path.read_text()
-    (home / "snapshot-00000001.json").write_text(
-        encode_frame(
-            {
-                "version": 1,
-                "op": "snapshot",
-                "epoch": 1,
-                "seq": 0,
-                "data": {
-                    "universe": {t: universe.ht_of(t) for t in sorted(universe.tokens)},
-                    "rings": [ring_to_doc(rings[0])],
-                    "batches": None,
-                },
-            }
-        )
-        + "\n"
-    )
-    path.write_text(good_line[:20] + "X" + good_line[21:])  # break the CRC
+    path.write_text(break_crc(path.read_text()))
+    before = {file.name: file.read_bytes() for file in home.iterdir()}
 
-    recovered = Journal(home).recover()
-    # Fallback snapshot is at epoch 1; frames 3 and 4 replay on top.
-    assert recovered.epoch == 4
-    assert [r.rid for r in recovered.rings] == ["r0", "r2", "r3"]
-    assert any("unusable" in note for note in recovered.recovery["notes"])
+    with pytest.raises(JournalError) as excinfo:
+        Journal(home).recover()
+    message = str(excinfo.value)
+    assert "commit at epoch 3 does not follow epoch 1" in message
+    assert "epoch 2 is missing" in message
+    assert "snapshot-00000002.json" in message
+    assert {file.name: file.read_bytes() for file in home.iterdir()} == before
+    # The checker reports the chain unrecoverable, naming the gap.
+    assert _load_fsck().main(["--check", str(home)]) == 2
+    assert "epoch 2 is missing" in capsys.readouterr().out
 
 
 def test_recover_truncates_torn_tail_and_reports(tmp_path):

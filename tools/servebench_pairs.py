@@ -1,29 +1,31 @@
 #!/usr/bin/env python3
-"""Compare two checkouts on one servebench workload, in alternating pairs.
+"""Compare two checkouts on servebench workloads, in alternating pairs.
 
-    python3 tools/servebench_pairs.py PARENT CHANGE --workload spend-flow --pairs 10 --seed 701
+    python3 tools/servebench_pairs.py PARENT CHANGE \
+        --workload cold-selects spend-flow memo-reads --pairs 10 --seed 701
 
 ``PARENT`` and ``CHANGE`` are two checkouts of this repository (each
 with its own ``servebench/run.py`` and ``src/``).  The tool first
 byte-compiles both checkouts' ``src`` with ``compileall``: a daemon
 start in a checkout without cached bytecode compiles every module it
 imports, which moves ``setup_s`` by itself.  Pair ``i`` then runs
-``servebench/run.py`` once in each checkout on seed ``SEED + i``, the
-parent first in even pairs and the change first in odd ones, so a
-drift in the machine's speed lands on both sides alike.
+``servebench/run.py`` once in each checkout for every named workload,
+on seed ``SEED + i``, the parent first in even pairs and the change
+first in odd ones, so a drift in the machine's speed lands on both
+sides alike.
 
-It prints, per metric of ``BENCHMARK.json`` (end-to-end ones, or the
-per-layer ones with ``--trace 1``): each side's median and quartiles,
-the change of the median in %, and the pairs the change won, ties
-counting for neither side.  A metric whose median got worse by more
-than its bound is flagged ``WORSE``; ``gain`` marks a metric the
-change won in at least nine pairs of ten with medians further apart
-than the parent's interquartile range.  Then the attempted and failed
-operation totals of each side, and in how many pairs the two sides'
-daemon work counts were identical.
+It prints one table per workload.  Per metric of ``BENCHMARK.json``
+(end-to-end ones, or the per-layer ones with ``--trace 1``): each
+side's median and quartiles, the change of the median in %, and the
+pairs the change won, ties counting for neither side.  A metric whose
+median got worse by more than its bound is flagged ``WORSE``; ``gain``
+marks a metric the change won in at least nine pairs of ten with
+medians further apart than the parent's interquartile range.  Then the
+attempted and failed operation totals of each side, and in how many
+pairs the two sides' daemon work counts were identical.
 
 Exit codes: 0 done, 1 a run failed or reported a wrong answer, 2 a
-metric is worse than its bound.
+metric of any workload is worse than its bound.
 """
 
 from __future__ import annotations
@@ -57,11 +59,11 @@ def run_once(checkout: Path, workload: str, seed: int, trace: int) -> dict:
         result = None
     if not isinstance(result, dict):
         raise RunFailed(
-            f"{checkout} seed {seed} exited {proc.returncode} with no result:\n"
-            f"{proc.stderr[-2000:]}"
+            f"{checkout} {workload} seed {seed} exited {proc.returncode} with no "
+            f"result:\n{proc.stderr[-2000:]}"
         )
     if not result.get("correct"):
-        raise RunFailed(f"{checkout} seed {seed} reported an incorrect run")
+        raise RunFailed(f"{checkout} {workload} seed {seed} reported an incorrect run")
     counts = [line for line in lines if line.startswith("work_counts ")]
     result["work_counts"] = json.loads(counts[-1].split(" ", 1)[1]) if counts else None
     return result
@@ -142,11 +144,28 @@ def render(rows: list[dict], pairs: list[dict[str, dict]]) -> str:
     return "\n".join(lines)
 
 
+def report(specs: list[dict], runs: dict[str, list[dict[str, dict]]], seed: int) -> tuple[str, bool]:
+    """One table per workload of ``runs`` (workload -> its pairs), and
+    whether any metric of any workload is worse than its bound."""
+    tables, worse = [], False
+    for workload, pairs in runs.items():
+        rows = summarize(specs, pairs)
+        worse = worse or any(row["worse"] for row in rows)
+        tables.append(
+            f"{workload}: {len(pairs)} pairs, seeds {seed}-{seed + len(pairs) - 1}\n"
+            + render(rows, pairs)
+        )
+    return "\n\n".join(tables), worse
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("change", type=Path, help="checkout of the change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument(
+        "--workload", required=True, nargs="+", action="extend",
+        help="servebench workloads; every pair runs each of them",
+    )
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
@@ -159,23 +178,23 @@ def main(argv: list[str] | None = None) -> int:
         subprocess.run([sys.executable, "-m", "compileall", "-q", str(path / "src")], check=True)
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
 
-    pairs = []
+    runs: dict[str, list[dict[str, dict]]] = {name: [] for name in args.workload}
     try:
         for i in range(args.pairs):
             seed = args.seed + i
             order = SIDES if i % 2 == 0 else SIDES[::-1]
-            pairs.append(
-                {side: run_once(checkouts[side], args.workload, seed, args.trace) for side in order}
-            )
+            for workload, pairs in runs.items():
+                pairs.append(
+                    {side: run_once(checkouts[side], workload, seed, args.trace) for side in order}
+                )
             print(f"pair {i + 1}/{args.pairs}: seed {seed}, {order[0]} first", file=sys.stderr)
     except RunFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    rows = summarize(spec["per_layer" if args.trace else "end_to_end"], pairs)
-    print(f"{args.workload}: {args.pairs} pairs, seeds {args.seed}-{args.seed + args.pairs - 1}")
-    print(render(rows, pairs))
-    return 2 if any(row["worse"] for row in rows) else 0
+    text, worse = report(spec["per_layer" if args.trace else "end_to_end"], runs, args.seed)
+    print(text)
+    return 2 if worse else 0
 
 
 if __name__ == "__main__":
