@@ -46,6 +46,9 @@ EXIT_BUDGET_EXCEEDED = 75
 EXIT_CONSTRAINT_VIOLATION = 65
 #: EX_UNAVAILABLE: another live daemon owns the socket/journal.
 EXIT_ALREADY_RUNNING = 69
+#: EX_DATAERR: journal recovery refused the journal (no usable base,
+#: an unusable genesis, an epoch gap).
+EXIT_JOURNAL_REFUSED = 65
 
 from .experiments.figures import (
     fig3_output_distribution,
@@ -230,6 +233,7 @@ def _run_serve(args: argparse.Namespace) -> int:
     from .service import (
         AlreadyRunning,
         Journal,
+        JournalError,
         PidFile,
         RouterConfig,
         SelectionService,
@@ -271,7 +275,11 @@ def _run_serve(args: argparse.Namespace) -> int:
                 sync_every=args.journal_sync,
                 snapshot_every=args.snapshot_every,
             )
-            recovered = journal.recover()
+            try:
+                recovered = journal.recover()
+            except JournalError as exc:
+                print(f"error: journal refused: {exc}", file=sys.stderr)
+                return EXIT_JOURNAL_REFUSED
         if recovered is not None:
             universe = recovered.universe
             rings0 = recovered.rings

@@ -8,9 +8,9 @@ the machinery that removes the redundancy without changing a single
 answer:
 
 * :class:`WorldSet` (:mod:`~repro.core.perf.worlds`) — token-RS
-  combinations of a ring set in an interned, bitmask-indexed form.
-  Enumerated once, extended per candidate, and queried for DTRSs via
-  big-integer mask intersections instead of repeated world scans.
+  combinations of a ring set as per-pair world masks, made during the
+  one enumeration and queried for DTRSs via big-integer mask
+  intersections instead of repeated world scans.
 * :class:`SolverCache` (:mod:`~repro.core.perf.cache`) — per-instance
   memoization keyed by ring-set fingerprints: connected components of
   the token-overlap graph give O(tokens) related-ring closures, and the

@@ -11,8 +11,9 @@ enumerates, almost all of that work is shared:
 * the token-RS combinations of the *existing* related rings — the
   expensive backtracking enumeration — depend only on which components
   are touched, so each distinct component set's :class:`WorldSet` is
-  built once and every candidate extends it with its own row
-  (:meth:`WorldSet.extend`, linear in the output);
+  built once, with its :class:`~repro.core.perf.kernels.KernelState`,
+  and every candidate is resolved against it by factorized slice masks
+  (no candidate's closure worlds are ever materialized);
 * likewise one complete base matching per component set seeds the
   :class:`IncrementalMatcher` of every candidate's closure.
 
@@ -285,11 +286,3 @@ class SolverCache:
                 events.KernelStateBuilt(rings=len(worlds.rings), worlds=len(worlds))
             )
         return state
-
-    def closure_worlds(
-        self, candidate: Ring, deadline: float | None = None
-    ) -> tuple[list[Ring], WorldSet]:
-        """(related rings, WorldSet of related + candidate) for a candidate."""
-        key = self.related_key(candidate.tokens)
-        base = self.base_worlds(key, deadline=deadline)
-        return base.rings, base.extend(candidate, deadline=deadline)

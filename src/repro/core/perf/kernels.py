@@ -1,19 +1,16 @@
-"""Columnar batch kernels for the world-extension / DTRS hot path.
+"""Columnar batch kernels for the BFS candidate verdict hot path.
 
-The per-candidate inner loop of Algorithm 2 spends its time in two
-places: extending the cached base :class:`~repro.core.perf.worlds.WorldSet`
-with the candidate's row (``worlds.extended_worlds`` dominates bench
-counters) and sweeping the closure's DTRSs.  But a stratum of the BFS
-evaluates *many* candidates against the *same* base world set, and the
-extended worlds of candidate τ factorize exactly:
+A stratum of the BFS evaluates *many* candidates against the *same*
+base world set (the worlds of the candidate's related rings), and the
+closure worlds of candidate τ factorize exactly:
 
     worlds(base + τ)  =  ⨆_{t ∈ τ}  { (w, t) : w ∈ F_t },
     F_t               =  full & ~presence[t],
 
 where ``presence[t]`` is the bitmask of base worlds already consuming
-token ``t``.  Every question the feasibility check asks of the extended
+token ``t``.  Every question the feasibility check asks of the closure
 world set is answerable from these per-token *slices* without ever
-materializing a single extended world:
+materializing a single closure world:
 
 * **non-eliminated** — a base ring's (position, token) pair survives the
   extension iff its pair mask intersects ``U = ⋃ F_t``; a candidate
@@ -21,18 +18,23 @@ materializing a single extended world:
   closure-SDR-existence semantics of the incremental matcher);
 * **HT determination** — for a base-ring target, a pair set with
   combined base mask ``m`` determines HT ``h`` iff ``m & U`` is nonzero
-  and fits inside the target's HT mask ``H_h``; adding a candidate-row
-  pair ``(τ, t0)`` restricts to the single slice ``m & F_t0``; for the
-  candidate-row target the determined HT is the unique ``ht(t)`` among
-  the slices the mask touches;
+  and misses the complement of the target's HT mask ``H_h`` (built once
+  with the state); adding a candidate-row pair ``(τ, t0)`` restricts to
+  the single slice ``m & F_t0``; for the candidate-row target the
+  determined HT is the unique ``ht(t)`` among the slices the mask
+  touches, i.e. the one HT group whose complement (the union of the
+  other groups) the mask misses;
 * **DTRS sweep** — minimal determining pair sets enumerated per closure
   target in ascending size directly on the slice masks (the same
   dominance-pruned backtracking as ``WorldSet.dtrss_of``, with a pair
   set represented as a base mask plus at most one candidate slice), and
-  *early-exited* at the first violating minimal DTRS.  Infeasible
-  candidates therefore resolve without materializing a single extended
-  world or enumerating past the first violation; a clean candidate
-  pays the full sweep and earns an exact "feasible" verdict;
+  *early-exited* at the first violating minimal DTRS.  A leaf is tested
+  for the HT it determines before its pair set is built and checked for
+  dominance, and a branch whose prefix already determines is cut: that
+  prefix was a leaf at its own size, so it either returned ``dtrs``
+  there (it violated) or it, or a found set inside it, dominates every
+  leaf below.  A clean candidate pays the full sweep and earns an exact
+  "feasible" verdict;
 * **the flat pass** — before the sweep sets up anything, one pass over
   two candidate-independent tables of the base (the mask of every base
   ring token, the mask of every base pair) answers the commonest
@@ -58,8 +60,8 @@ never of how the stream was chunked, and each names the gate the seed
 per-candidate check fails first (``tests/test_perf_kernels.py`` pins
 them against the frozen seed in :mod:`~repro.core.perf.reference`).
 
-The masks are CPython big integers built from the WorldSet's interned
-pair masks: at the few-dozen-world sets the exact pipeline reaches,
+The masks are CPython big integers taken from the WorldSet's pair
+masks: at the few-dozen-world sets the exact pipeline reaches,
 ``&``/``|`` on them costs less than any vectorized dispatch would.
 """
 
@@ -96,8 +98,8 @@ class Extension:
     ``slices[t]`` masks the base worlds where token ``t`` is free (the
     worlds extended by assigning ``t`` to the candidate row); ``union``
     is their union; ``count`` is the number of extended worlds — equal
-    to ``len(base.extend(candidate))`` without materializing any of
-    them.
+    to ``len(WorldSet(base.rings + [candidate]))`` without
+    materializing any of them.
     """
 
     slices: dict[str, int]
@@ -106,24 +108,29 @@ class Extension:
 
 
 class _Row:
-    """Per base-ring-position mask bundle of a kernel state."""
+    """Per base-ring-position mask bundle of a kernel state.
 
-    __slots__ = ("ring", "token_masks", "ht_masks", "pairs")
+    ``complements`` pairs each HT the ring takes with the worlds where
+    it takes another HT: a realizable mask determines the ring's HT
+    ``h`` iff it misses ``h``'s complement.
+    """
 
-    def __init__(self, ring: Ring, token_masks: dict, ht_masks: dict) -> None:
+    __slots__ = ("ring", "token_masks", "complements", "pairs")
+
+    def __init__(self, ring: Ring, token_masks: dict, ht_masks: dict, full: int) -> None:
         self.ring = ring
         self.token_masks = token_masks
-        self.ht_masks = ht_masks
+        self.complements = [(ht, full ^ mask) for ht, mask in ht_masks.items()]
         self.pairs = sorted(token_masks.items())
 
 
 class KernelState:
     """Columnar masks of one cached base world set.
 
-    Holds, per base ring position, the (token -> world mask) and
-    (HT -> world mask) tables, plus the global token-presence masks —
-    everything :meth:`verdict_of` needs to resolve a candidate with a
-    handful of mask operations.  Bit ``w`` of a mask is set iff base
+    Holds, per base ring position, the (token -> world mask) table and
+    the complements of its HT masks, plus the global token-presence
+    masks — everything :meth:`verdict_of` needs to resolve a candidate
+    with a handful of mask operations.  Bit ``w`` of a mask is set iff base
     world ``w`` is in it; ``full`` has every world's bit.
 
     Two flat, candidate-independent tables feed the opening pass of
@@ -158,10 +165,6 @@ class KernelState:
             union |= free
             count += free.bit_count()
         return Extension(slices=slices, union=union, count=count)
-
-    def extend_batch(self, candidates: Sequence[Iterable[str]]) -> list[Extension]:
-        """Extended world sets for many candidate rows in one pass."""
-        return [self.extend_one(tokens) for tokens in candidates]
 
     # -- the batched feasibility pre-sweep --------------------------------
 
@@ -250,145 +253,123 @@ class KernelState:
 
         ``slice_ht`` groups the candidate row's slices by HT (tokens
         sharing an HT merge — determination is about HTs, not tokens).
-        The size-0/1 checks and the size-2+ backtracking share one
+        The size-0 check and the size-1+ backtracking share one
         dominance-pruned loop; the step count starts at the pass's one.
         """
-
-        def det_base(row: _Row, mask: int) -> str | None:
-            # mask is already restricted to realizable extended worlds
-            # (nonzero, intersected with union or a slice).
-            for ht, ht_mask in row.ht_masks.items():
-                if not mask & ~ht_mask:
-                    return ht
-            return None
-
-        def det_cand(mask: int) -> str | None:
-            # Determined HT of the candidate row under a base mask: the
-            # unique slice-HT the mask touches (None if zero or many).
-            found = None
-            for ht, ht_mask in slice_ht.items():
-                if mask & ht_mask:
-                    if found is not None:
-                        return None
-                    found = ht
-            return found
-
-        def violates(pair_set, ring_c: float, ring_ell: int) -> bool:
-            dtrs_tokens = {name for _, name in pair_set}
-            return not ht_labels_satisfy(
-                map(universe.ht_of, dtrs_tokens), ring_c, ring_ell
-            )
-
         rows = self.rows
         count = len(rows)
         cand_position = count  # pseudo-position id of the candidate row
         steps = 1  # the pass took the first step
+        # The candidate row determines HT h iff the mask touches h's
+        # slices only, i.e. misses the union of the other groups.
+        groups = list(slice_ht.items())
+        cand_complements = []
+        for ht, _ in groups:
+            others = 0
+            for other, mask in groups:
+                if other != ht:
+                    others |= mask
+            cand_complements.append((ht, others))
 
-        def check_deadline() -> None:
-            nonlocal steps
-            steps += 1
-            if deadline is not None and steps % _DEADLINE_STRIDE == 0:
-                if time.perf_counter() > deadline:
-                    raise DeadlineExceeded("kernel DTRS sweep passed its deadline")
-
-        def sweep_target(target_index: int | None, ring_c, ring_ell) -> bool:
+        def sweep_target(target_index: int | None, complements, ring_c, ring_ell) -> bool:
             """True iff the target has a violating minimal DTRS.
 
             ``target_index`` is a base position, or None for the
-            candidate row.  Mirrors ``WorldSet.dtrss_of`` — ascending
-            size, leaf-level dominance pruning — but on factorized
-            masks: a pair-set state is a base mask plus at most one
-            candidate-row slice, and it exits at the first violating
-            minimal determining set instead of enumerating them all.
+            candidate row; ``complements`` are its (HT, complement)
+            pairs.  Mirrors ``WorldSet.dtrss_of`` — ascending size,
+            leaf-level dominance pruning, determining prefixes cut —
+            but on factorized masks: a pair-set state is a base mask
+            plus at most one candidate-row slice, and it exits at the
+            first violating minimal determining set instead of
+            enumerating them all.
             """
-            target_row = None if target_index is None else rows[target_index]
             # Size 0: the empty pair set over all extended worlds.  If
             # it determines, the empty DTRS (whose empty HT multiset
             # can never satisfy (c, l)-diversity) is the only one.
-            if target_row is None:
-                determined = det_cand(self.full)
-            else:
-                determined = det_base(target_row, union)
-            if determined is not None:
-                return True
+            for _, complement in complements:
+                if not union & complement:
+                    return True
             # Pair universe: the other base rows, plus the candidate
-            # row itself when the target is a base ring.
+            # row itself when the target is a base ring.  The candidate
+            # row comes last, so it is the last pair of any pair set.
             positions = [
                 (index, rows[index].pairs)
                 for index in range(count)
                 if index != target_index
             ]
-            if target_row is not None:
+            if target_index is not None:
                 positions.append((cand_position, sorted(slices.items())))
             buckets: dict[tuple[int, str], list[frozenset]] = {}
 
-            def dominated(pair_set: frozenset) -> bool:
+            def leaf_violates(pairs) -> bool:
+                """A determining leaf: is it a violating minimal DTRS?"""
+                pair_set = frozenset(pairs)
                 for element in pair_set:
                     for existing in buckets.get(element, ()):
                         if existing <= pair_set:
-                            return True
+                            return False
+                if not ht_labels_satisfy(
+                    map(universe.ht_of, {name for _, name in pair_set}), ring_c, ring_ell
+                ):
+                    return True
+                buckets.setdefault(min(pair_set), []).append(pair_set)
                 return False
 
-            def descend(depth, chosen, base_mask, slice_name, pairs) -> bool:
-                check_deadline()
-                if depth == len(chosen):
-                    pair_set = frozenset(pairs)
-                    if dominated(pair_set):
-                        return False
-                    if target_row is None:
-                        determined = det_cand(base_mask)
-                    else:
-                        mask = base_mask & (
-                            union if slice_name is None else slices[slice_name]
-                        )
-                        determined = det_base(target_row, mask)
-                    if determined is None:
-                        return False
-                    if violates(pair_set, ring_c, ring_ell):
-                        return True
-                    buckets.setdefault(min(pair_set), []).append(pair_set)
-                    return False
+            def descend(depth, chosen, base_mask, pairs) -> bool:
+                nonlocal steps
+                steps += 1
+                if deadline is not None and steps % _DEADLINE_STRIDE == 0:
+                    if time.perf_counter() > deadline:
+                        raise DeadlineExceeded("kernel DTRS sweep passed its deadline")
                 position, position_pairs = chosen[depth]
                 if position == cand_position:
-                    # A candidate-row pair fixes the slice; the pair is
-                    # realizable iff the accumulated base mask still
-                    # intersects it.
+                    # A candidate-row pair fixes the slice: the leaf's
+                    # worlds are the accumulated base mask within it.
                     for name, free in position_pairs:
-                        if not base_mask & free:
+                        mask = base_mask & free
+                        if not mask:
                             continue
-                        if descend(
-                            depth + 1, chosen, base_mask, name,
-                            pairs + ((position, name),),
-                        ):
-                            return True
+                        for _, complement in complements:
+                            if not mask & complement:
+                                if leaf_violates(pairs + ((position, name),)):
+                                    return True
+                                break
                     return False
+                leaf = depth + 1 == len(chosen)
                 for name, pair_mask in position_pairs:
                     narrowed = base_mask & pair_mask
-                    realizable = narrowed & (
-                        union if slice_name is None else slices[slice_name]
-                    )
+                    realizable = narrowed & union
                     if not realizable:
                         continue
-                    if descend(
-                        depth + 1, chosen, narrowed, slice_name,
-                        pairs + ((position, name),),
-                    ):
-                        return True
+                    for _, complement in complements:
+                        if not realizable & complement:
+                            # Determining.  A leaf is tested as a DTRS;
+                            # a prefix is cut: it was a leaf at its own
+                            # size, so it returned dtrs there or a found
+                            # set inside it dominates every leaf below.
+                            if leaf and leaf_violates(pairs + ((position, name),)):
+                                return True
+                            break
+                    else:
+                        if not leaf and descend(
+                            depth + 1, chosen, narrowed, pairs + ((position, name),)
+                        ):
+                            return True
                 return False
 
             try:
                 for size in range(1, len(positions) + 1):
                     for chosen in subset_combinations(positions, size):
-                        if descend(0, chosen, self.full, None, ()):
+                        if descend(0, chosen, self.full, ()):
                             return True
                 return False
             finally:
                 del descend  # it calls itself through its cell: break the cycle
 
-        if sweep_target(None, c, ell):
+        if sweep_target(None, cand_complements, c, ell):
             return "dtrs"
         for index, row in enumerate(rows):
-            if sweep_target(index, row.ring.c, row.ring.ell):
+            if sweep_target(index, row.complements, row.ring.c, row.ring.ell):
                 return "dtrs"
         return "feasible"
 
@@ -405,6 +386,7 @@ class KernelBackend:
 
     def build_state(self, worlds: WorldSet, universe: TokenUniverse) -> KernelState:
         masks = worlds.pair_masks()
+        full = worlds.full_mask
         presence: dict[str, int] = {}
         rows: list[_Row] = []
         for position, ring in enumerate(worlds.rings):
@@ -417,8 +399,8 @@ class KernelBackend:
                 presence[name] = presence.get(name, 0) | mask
                 ht = universe.ht_of(name)
                 ht_masks[ht] = ht_masks.get(ht, 0) | mask
-            rows.append(_Row(ring, token_masks, ht_masks))
-        return KernelState(rows, presence, worlds.full_mask)
+            rows.append(_Row(ring, token_masks, ht_masks, full))
+        return KernelState(rows, presence, full)
 
 
 BACKEND = KernelBackend()

@@ -1,40 +1,39 @@
-"""Interned, columnar, bitmask-indexed token-RS combinations of a ring set.
+"""Interned, bitmask-indexed token-RS combinations of a ring set.
 
 The seed ``get_dtrss`` materialized ``list(enumerate_combinations(...))``
 as a list of ``{rid: token}`` dicts for *every* (target, closure) call,
 then re-scanned the whole list once per candidate pair set.  A
-:class:`WorldSet` enumerates the combinations of a ring set once,
-storing them **columnar**: one ``array`` of interned token indices per
-ring position (a column-per-ring token-index table) instead of a
-row-major ``list[tuple[int, ...]]``.  Rows (`.worlds`) are materialized
-lazily only when something actually needs them (``as_dicts``, the
-per-candidate ``extend`` fallback, tests).  Two derived structures are
-built from the columns:
+:class:`WorldSet` enumerates the combinations of a ring set once and
+keeps them as **pair masks**: for each (ring position, token) pair, a
+Python int whose bit ``w`` is set iff world ``w`` assigns that token
+to that ring.  The worlds consistent with a candidate pair set are then
+one big-integer AND per pair, and a pair set determines the target's
+HT iff its world mask is non-zero and misses the complement of exactly
+one of the target's HT masks (the worlds grouped by the HT of the
+target's assigned token).
 
-* ``pair mask`` — for each (ring position, token) pair, a Python int
-  whose bit ``w`` is set iff world ``w`` assigns that token to that
-  ring.  The worlds consistent with a candidate pair set are then one
-  big-integer AND per pair, and
-* ``HT masks`` — per target ring, the worlds grouped by the HT of the
-  target's assigned token; a candidate determines an HT iff its world
-  mask is non-zero and fits inside exactly one HT mask.
+The masks are made during enumeration, not by a scan afterwards.
+Worlds are numbered in backtracking order, so the worlds below one
+backtracking node form a contiguous run of bits: the node ORs one range
+mask into its (position, token) pair when its subtree returns, and the
+last ring's tokens, one world each, are looped inline.  The cost is one
+big-integer OR per node instead of one per world per ring.  The
+per-ring token columns, the row tuples and the ``{rid: token}`` dicts
+(``columns``, ``worlds``, ``as_dicts``) are views built from the masks
+on first use; only tests and debugging read them.
 
-Together these replace the seed's memoization-free ``_determined_ht``
-world scans with O(|pairs| + |HTs|) big-integer operations, and DTRS
-enumeration walks the realizable pair sets directly (pruning any branch
-whose partial mask is already zero) instead of re-deriving them from
-every world.
+DTRS enumeration (:meth:`WorldSet.dtrss_of`) walks the realizable pair
+sets directly, pruning any branch whose partial mask is already zero.
+A leaf is tested for the HT it determines, against complement masks
+precomputed once per query, before its pair set is built and checked
+for dominance; a branch whose prefix already determines is cut, since
+that prefix was a leaf at its own size and dominates every leaf below.
 
-The columnar layout is also what the batch kernels
-(:mod:`~repro.core.perf.kernels`) consume: ``columns`` /
-``token_index`` / ``full_mask`` expose the table so a whole stratum of
-candidate rings can be evaluated against one base world set in bulk.
-
-A WorldSet is immutable once built; :meth:`extend` derives the world
-set of ``closure = base + [candidate]`` from the base worlds without
-re-running the backtracking enumeration — the shared-prefix trick the
-BFS solver leans on, since thousands of candidates of a given size
-share the same related-ring base.
+The batch kernels (:mod:`~repro.core.perf.kernels`) build their
+per-candidate slices from ``pair_masks`` / ``tokens_by_position`` /
+``full_mask``.  A WorldSet is immutable once built and has one
+construction path: every world set, a closure's included, is
+enumerated from its ring list.
 """
 
 from __future__ import annotations
@@ -60,80 +59,81 @@ class DeadlineExceeded(RuntimeError):
     """Raised when a deadline passed mid-enumeration (budget threading)."""
 
 
+def _bits(mask: int):
+    """The indices of ``mask``'s set bits, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class WorldSet:
     """All token-RS combinations of a fixed ring sequence.
 
     Attributes:
         rings: the ring sequence (positional order is the world layout).
-        columns: the columnar table — one ``array`` of token indices per
-            ring position; ``columns[p][w]`` is the token ring ``p``
-            consumes in world ``w``.
     """
 
     __slots__ = (
         "rings",
-        "columns",
         "_count",
-        "_rows",
         "_position_of",
         "_token_names",
         "_token_index",
         "_pair_masks",
         "_tokens_by_position",
         "_full_mask",
+        "_columns",
+        "_rows",
         "_dtrs_cache",
     )
 
-    def __init__(
-        self,
-        rings: Sequence[Ring],
-        deadline: float | None = None,
-        _columns: tuple[array, ...] | None = None,
-        _count: int | None = None,
-        _token_names: list[str] | None = None,
-    ) -> None:
+    def __init__(self, rings: Sequence[Ring], deadline: float | None = None) -> None:
         self.rings: list[Ring] = list(rings)
         self._position_of = {ring.rid: pos for pos, ring in enumerate(self.rings)}
         if len(self._position_of) != len(self.rings):
             raise ValueError("ring ids must be unique within a world set")
-        if _token_names is None:
-            names = sorted({token for ring in self.rings for token in ring.tokens})
-        else:
-            names = _token_names
+        names = sorted({token for ring in self.rings for token in ring.tokens})
         self._token_names = names
         self._token_index = {name: idx for idx, name in enumerate(names)}
-        if _columns is None:
-            self.columns, self._count = self._enumerate(deadline)
-            if events.enabled():
-                events.emit(
-                    events.WorldsBuilt(
-                        rings=len(self.rings), worlds=self._count
-                    )
-                )
-        else:
-            self.columns = _columns
-            self._count = (
-                _count if _count is not None
-                else (len(_columns[0]) if _columns else 0)
-            )
-        self._rows: list[tuple[int, ...]] | None = None
-        self._pair_masks: dict[tuple[int, int], int] | None = None
-        self._tokens_by_position: list[list[int]] | None = None
+        self._pair_masks, self._count = self._enumerate(deadline)
+        if events.enabled():
+            events.emit(events.WorldsBuilt(rings=len(self.rings), worlds=self._count))
+        by_position: list[list[int]] = [[] for _ in self.rings]
+        for position, token in self._pair_masks:
+            by_position[position].append(token)
+        for tokens in by_position:
+            tokens.sort()
+        self._tokens_by_position = by_position
         self._full_mask = (1 << self._count) - 1
+        self._columns: tuple[array, ...] | None = None
+        self._rows: list[tuple[int, ...]] | None = None
         self._dtrs_cache: dict[tuple[str, int | None], list] = {}
 
     # -- construction -----------------------------------------------------
 
-    def _enumerate(self, deadline: float | None) -> tuple[tuple[array, ...], int]:
-        """Backtracking SDR enumeration, most-constrained rings first."""
+    def _enumerate(self, deadline: float | None) -> tuple[dict[tuple[int, int], int], int]:
+        """Backtracking SDR enumeration, most-constrained rings first.
+
+        Returns the pair masks and the world count.  World ``w`` is the
+        ``w``-th leaf in backtracking order, so a node's subtree holds
+        a contiguous run of worlds and its pair takes that run as one
+        range mask.
+        """
         count = len(self.rings)
-        candidates = [
-            sorted(self._token_index[token] for token in ring.tokens)
-            for ring in self.rings
-        ]
+        if not count:
+            return {}, 1
+        index = self._token_index
+        candidates = [sorted(index[token] for token in ring.tokens) for ring in self.rings]
         order = sorted(range(count), key=lambda i: len(candidates[i]))
-        columns = tuple(array(_COLUMN_TYPE) for _ in range(count))
-        assignment = [0] * count
+        # Per depth: the (token, pair key) choices of the ring placed there.
+        choices = [
+            [(token, (position, token)) for token in candidates[position]]
+            for position in order
+        ]
+        last_choices = choices[-1]
+        leaf_depth = count - 1
+        masks: dict[tuple[int, int], int] = {}
         used: set[int] = set()
         steps = 0
         worlds = 0
@@ -144,78 +144,27 @@ class WorldSet:
             if deadline is not None and steps % _DEADLINE_STRIDE == 0:
                 if time.perf_counter() > deadline:
                     raise DeadlineExceeded("world enumeration passed its deadline")
-            if depth == count:
-                for position in range(count):
-                    columns[position].append(assignment[position])
-                worlds += 1
+            if depth == leaf_depth:
+                for token, key in last_choices:
+                    if token not in used:
+                        masks[key] = masks.get(key, 0) | (1 << worlds)
+                        worlds += 1
                 return
-            position = order[depth]
-            for token in candidates[position]:
+            for token, key in choices[depth]:
                 if token in used:
                     continue
                 used.add(token)
-                assignment[position] = token
+                start = worlds
                 backtrack(depth + 1)
                 used.discard(token)
+                if worlds != start:
+                    masks[key] = masks.get(key, 0) | ((1 << worlds) - (1 << start))
 
         try:
             backtrack(0)
         finally:
             del backtrack  # it calls itself through its cell: break the cycle
-        return columns, (worlds if count else 1)
-
-    def extend(self, candidate: Ring, deadline: float | None = None) -> "WorldSet":
-        """The world set of ``self.rings + [candidate]``.
-
-        Every world of the closure is a base world plus one candidate
-        token unused in that world, so the closure worlds come straight
-        from the base table — no backtracking re-run.  This is exact:
-        the candidate occupies the final ring position.
-        """
-        names = list(self._token_names)
-        index = dict(self._token_index)
-        for token in sorted(candidate.tokens):
-            if token not in index:
-                index[token] = len(names)
-                names.append(token)
-        cand_indices = sorted(index[token] for token in candidate.tokens)
-
-        extended = tuple(array(_COLUMN_TYPE) for _ in range(len(self.rings) + 1))
-        emitted = 0
-        if not self.rings:
-            for idx in cand_indices:
-                extended[0].append(idx)
-            emitted = len(cand_indices)
-        else:
-            cand_column = extended[-1]
-            base_columns = self.columns
-            positions = range(len(base_columns))
-            for world in self.worlds:
-                used = set(world)
-                for idx in cand_indices:
-                    if idx in used:
-                        continue
-                    # The stride counts *emitted* worlds, not base
-                    # worlds: a base set with many open candidate
-                    # tokens multiplies the output, and the deadline
-                    # must track the work actually done.
-                    emitted += 1
-                    if deadline is not None and emitted % _DEADLINE_STRIDE == 0:
-                        if time.perf_counter() > deadline:
-                            raise DeadlineExceeded(
-                                "world extension passed its deadline"
-                            )
-                    for position in positions:
-                        extended[position].append(world[position])
-                    cand_column.append(idx)
-        if events.enabled():
-            events.emit(events.WorldsExtended(worlds=emitted))
-        return WorldSet(
-            self.rings + [candidate],
-            _columns=extended,
-            _count=emitted,
-            _token_names=names,
-        )
+        return masks, worlds
 
     # -- views ------------------------------------------------------------
 
@@ -223,10 +172,23 @@ class WorldSet:
         return self._count
 
     @property
+    def columns(self) -> tuple[array, ...]:
+        """Per ring position, the token index it takes in each world
+        (a view built from the pair masks on first use)."""
+        if self._columns is None:
+            columns = tuple(array(_COLUMN_TYPE, [0]) * self._count for _ in self.rings)
+            for (position, token), mask in self._pair_masks.items():
+                column = columns[position]
+                for world in _bits(mask):
+                    column[world] = token
+            self._columns = columns
+        return self._columns
+
+    @property
     def worlds(self) -> list[tuple[int, ...]]:
-        """Row view of the table (lazy; columns are the primary storage)."""
+        """Row view of the table (a view built on first use)."""
         if self._rows is None:
-            if not self.columns:
+            if not self.rings:
                 self._rows = [() for _ in range(self._count)]
             else:
                 self._rows = list(zip(*self.columns))
@@ -239,7 +201,7 @@ class WorldSet:
 
     @property
     def token_index(self) -> dict[str, int]:
-        """Interning table: token name -> column value (read-only)."""
+        """Interning table: token name -> token index (read-only)."""
         return self._token_index
 
     def token_name(self, index: int) -> str:
@@ -255,30 +217,14 @@ class WorldSet:
 
     def pair_masks(self) -> dict[tuple[int, int], int]:
         """(ring position, token index) -> bitmask of consistent worlds."""
-        if self._pair_masks is None:
-            masks: dict[tuple[int, int], int] = {}
-            for position, column in enumerate(self.columns):
-                for w, token in enumerate(column):
-                    key = (position, token)
-                    masks[key] = masks.get(key, 0) | (1 << w)
-            self._pair_masks = masks
-            by_position: list[list[int]] = [[] for _ in self.rings]
-            for position, token in masks:
-                by_position[position].append(token)
-            for tokens in by_position:
-                tokens.sort()
-            self._tokens_by_position = by_position
         return self._pair_masks
 
     def tokens_by_position(self) -> list[list[int]]:
         """Per ring position: the sorted token indices it takes in any world.
 
-        Built alongside :meth:`pair_masks` — the per-position index the
-        seed lacked (it linearly scanned every pair-mask entry per
-        ``possible_tokens_of`` call).
+        The per-position index the seed lacked (it linearly scanned
+        every pair-mask entry per ``possible_tokens_of`` call).
         """
-        if self._tokens_by_position is None:
-            self.pair_masks()
         return self._tokens_by_position
 
     def possible_tokens_of(self, rid: str) -> frozenset[str]:
@@ -286,7 +232,7 @@ class WorldSet:
         position = self._position_of[rid]
         return frozenset(
             self._token_names[token]
-            for token in self.tokens_by_position()[position]
+            for token in self._tokens_by_position[position]
         )
 
     # -- DTRS enumeration (Algorithm 3 on masks) ---------------------------
@@ -322,32 +268,34 @@ class WorldSet:
             return []
 
         target_pos = self._position_of[target_rid]
-        masks = self.pair_masks()
-
-        # HT masks of the target: worlds grouped by the HT of the
-        # target's assigned token.
-        ht_masks: dict[str, int] = {}
-        for token in self.tokens_by_position()[target_pos]:
-            ht = universe.ht_of(self._token_names[token])
-            ht_masks[ht] = ht_masks.get(ht, 0) | masks[(target_pos, token)]
+        masks = self._pair_masks
+        by_position = self._tokens_by_position
         full = self._full_mask
 
-        def determined_ht(mask: int) -> str | None:
-            # Memoization lives in the precomputed masks: the check is a
-            # couple of big-int ANDs instead of a world scan.
-            for ht, ht_mask in ht_masks.items():
-                if mask & ~ht_mask == 0:
-                    return ht
-            return None
+        # The target's HT masks (worlds grouped by the HT of the
+        # target's assigned token), as complements: a realizable mask
+        # determines HT h iff it misses h's complement.
+        ht_masks: dict[str, int] = {}
+        for token in by_position[target_pos]:
+            ht = universe.ht_of(self._token_names[token])
+            ht_masks[ht] = ht_masks.get(ht, 0) | masks[(target_pos, token)]
+        complements = [(ht, full ^ ht_mask) for ht, ht_mask in ht_masks.items()]
+
+        # Size 0: the empty pair set. If it determines (single HT over
+        # all worlds), it dominates everything else — done immediately.
+        for ht, complement in complements:
+            if not complement:
+                result = [Dtrs(pairs=frozenset(), determined_ht=ht)]
+                self._dtrs_cache[key] = result
+                if events.enabled():
+                    events.emit(events.DtrsSweep(memo_hit=False, found=1))
+                return list(result)
 
         # Per non-target ring: the tokens it takes across worlds, with
         # their masks — the realizable pair universe.
         positions = [pos for pos in range(len(self.rings)) if pos != target_pos]
         pairs_by_position: dict[int, list[tuple[int, int]]] = {
-            pos: [
-                (token, masks[(pos, token)])
-                for token in self.tokens_by_position()[pos]
-            ]
+            pos: [(token, masks[(pos, token)]) for token in by_position[pos]]
             for pos in positions
         }
 
@@ -356,42 +304,41 @@ class WorldSet:
         found: list[tuple[frozenset[tuple[int, int]], str]] = []
         steps = 0
 
-        def check_deadline() -> None:
+        def descend(depth: int, mask: int, pairs: tuple[tuple[int, int], ...]) -> None:
             nonlocal steps
             steps += 1
             if deadline is not None and steps % _DEADLINE_STRIDE == 0:
                 if time.perf_counter() > deadline:
                     raise DeadlineExceeded("DTRS enumeration passed its deadline")
-
-        # Size 0: the empty pair set. If it determines (single HT over
-        # all worlds), it dominates everything else — done immediately.
-        ht = determined_ht(full)
-        if ht is not None:
-            result = [Dtrs(pairs=frozenset(), determined_ht=ht)]
-            self._dtrs_cache[key] = result
-            if events.enabled():
-                events.emit(events.DtrsSweep(memo_hit=False, found=1))
-            return list(result)
-
-        def descend(depth: int, mask: int, pairs: tuple[tuple[int, int], ...]) -> None:
-            check_deadline()
-            if mask == 0:
-                return  # unrealizable — no world holds these pairs
-            if depth == size:
-                pair_set = frozenset(pairs)
-                if index.dominated(pair_set):
-                    return
-                ht = determined_ht(mask)
-                if ht is not None:
-                    index.add(pair_set)
-                    found.append((pair_set, ht))
-                return
             pos = chosen_positions[depth]
+            if depth == leaf_depth:
+                for token, pair_mask in pairs_by_position[pos]:
+                    narrowed = mask & pair_mask
+                    if not narrowed:
+                        continue  # unrealizable: no world holds these pairs
+                    for ht, complement in complements:
+                        if not narrowed & complement:
+                            pair_set = frozenset(pairs + ((pos, token),))
+                            if not index.dominated(pair_set):
+                                index.add(pair_set)
+                                found.append((pair_set, ht))
+                            break
+                return
             for token, pair_mask in pairs_by_position[pos]:
-                descend(depth + 1, mask & pair_mask, pairs + ((pos, token),))
+                narrowed = mask & pair_mask
+                if not narrowed:
+                    continue
+                for _, complement in complements:
+                    if not narrowed & complement:
+                        # The prefix determines: it was a leaf at its
+                        # own size, so it dominates every leaf below.
+                        break
+                else:
+                    descend(depth + 1, narrowed, pairs + ((pos, token),))
 
         try:
             for size in range(1, cap + 1):
+                leaf_depth = size - 1
                 for chosen_positions in subset_combinations(positions, size):
                     descend(0, full, ())
         finally:

@@ -14,7 +14,11 @@ r_tau = M ∪ {t_tau} satisfies:
 This module defines the problem instance object and exact (exponential)
 constraint checkers used by the BFS solver and by tests; the practical
 configurations in :mod:`repro.core.modules` provide the polynomial
-counterparts.
+counterparts.  :func:`definition5_violations` is the re-check every
+served ring passes: it enumerates the closure's worlds once, and the
+worlds of the closure without the candidate only when a related ring
+fails its claim in the closure, so a ring that passes costs one world
+set.
 """
 
 from __future__ import annotations
@@ -134,15 +138,16 @@ def definition5_violations(
     generator, so a caller asking only *whether* the ring fails stops
     at the first violation, while ``tuple(...)`` lists every one.
 
-    Each ring set's worlds are enumerated once per call: one
-    :class:`~repro.core.perf.worlds.WorldSet` of the closure answers the
-    candidate's DTRSs and every related ring's DTRSs after the
-    candidate, and one of the closure without the candidate answers the
-    related rings' DTRSs before it.  Checking constraint by constraint
-    through ``get_dtrss`` enumerated ``1 + 2k`` world sets for ``k``
-    related rings.  Both are built from the closure on every call and
-    never shared with a solver cache, so the check stays independent
-    of the solver whose answer it verifies.
+    One :class:`~repro.core.perf.worlds.WorldSet` of the closure
+    answers the candidate's DTRSs and every related ring's DTRSs after
+    the candidate.  A second one, of the closure without the candidate,
+    is enumerated only when some related ring fails its claim in the
+    closure, to ask whether it held before (see :func:`_immutable`);
+    a ring that passes builds one world set.  Checking constraint by
+    constraint through ``get_dtrss`` enumerated ``1 + 2k`` world sets
+    for ``k`` related rings.  Every world set is built from the closure
+    on every call and never shared with a solver cache, so the check
+    stays independent of the solver whose answer it verifies.
     """
     candidate = instance.make_ring(mixins)
     closure = instance.related_rings(candidate) + [candidate]
@@ -163,16 +168,20 @@ def _immutable(
     universe: TokenUniverse,
 ) -> bool:
     """Immutability of ``closure``'s other rings; ``worlds`` is the
-    closure's world set."""
+    closure's world set.
+
+    A ring broken by the candidate held its claim before it and fails
+    after it.  So the rings are asked after the candidate first, and
+    the world set before it is enumerated only when some ring fails
+    there: a ring that holds after the candidate cannot break "held
+    before ⇒ holds after", whatever it did before.
+    """
     before = [ring for ring in closure if ring.rid != candidate.rid]
-    if not before:
+    failing = [ring for ring in before if not _diverse_in(ring, worlds, universe)]
+    if not failing:
         return True
     before_worlds = WorldSet(before)
-    return all(
-        _diverse_in(ring, worlds, universe)
-        for ring in before
-        if _diverse_in(ring, before_worlds, universe)
-    )
+    return not any(_diverse_in(ring, before_worlds, universe) for ring in failing)
 
 
 def _diverse_in(ring: Ring, worlds: WorldSet, universe: TokenUniverse) -> bool:

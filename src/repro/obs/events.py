@@ -23,7 +23,6 @@ __all__ = [
     "CandidateScanned",
     "StratumExhausted",
     "WorldsBuilt",
-    "WorldsExtended",
     "DtrsSweep",
     "CacheWorldsLookup",
     "KernelStateBuilt",
@@ -93,17 +92,6 @@ class WorldsBuilt:
     def record(self, recorder: metrics.Recorder) -> None:
         recorder.count("worlds.built")
         recorder.count("worlds.enumerated", self.worlds)
-
-
-@dataclass(frozen=True, slots=True)
-class WorldsExtended:
-    """A candidate closure's worlds derived from a shared base prefix."""
-
-    worlds: int
-
-    def record(self, recorder: metrics.Recorder) -> None:
-        recorder.count("worlds.extended")
-        recorder.count("worlds.extended_worlds", self.worlds)
 
 
 @dataclass(frozen=True, slots=True)

@@ -207,8 +207,8 @@ def format_summary(snapshot: Mapping) -> str:
     derived.append(
         (
             "worlds enumerated",
-            f"{counters.get('worlds.enumerated', 0)} base "
-            f"(+{counters.get('worlds.extended_worlds', 0)} extended)",
+            f"{counters.get('worlds.enumerated', 0)} "
+            f"in {counters.get('worlds.built', 0)} world set(s)",
         )
     )
     derived.append(

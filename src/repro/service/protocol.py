@@ -100,10 +100,11 @@ class ProtocolError(ValueError):
 def finite_float(value: Any, name: str) -> float:
     """``value`` as a float, refusing NaN and the infinities.
 
-    Python's ``json`` reads ``NaN``, ``Infinity`` and ``1e999``, and
-    ``float`` reads ``"nan"``; a non-finite ``c`` fails every HT gate
-    and sends the exact search through its whole candidate space, and
-    would be echoed and journaled as a token that is not JSON.
+    :func:`decode` already refuses non-finite number literals, but
+    ``float`` reads strings such as ``"nan"`` and ``"inf"``; a
+    non-finite ``c`` fails every HT gate and sends the exact search
+    through its whole candidate space, and would be echoed and
+    journaled as a token that is not JSON.
     """
     number = float(value)
     if not math.isfinite(number):
@@ -304,12 +305,41 @@ def encode(payload: Mapping) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _refuse_constant(text: str) -> float:
+    raise ProtocolError(f"non-finite number {text} in request")
+
+
+def _finite_literal(text: str) -> float:
+    number = float(text)
+    if not math.isfinite(number):
+        raise ProtocolError(f"non-finite number {text} in request")
+    return number
+
+
+#: Built once: ``json.loads`` with hooks builds a decoder per call,
+#: which doubled the cost of decoding a request line.
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant, parse_float=_finite_literal)
+
+
 def decode(line: str) -> dict:
-    """Parse one JSONL line into a dict, or raise :class:`ProtocolError`."""
+    """Parse one JSONL line into a dict, or raise :class:`ProtocolError`.
+
+    Python's ``json`` reads ``NaN``, ``Infinity``, ``-Infinity`` and
+    literals such as ``1e999`` that overflow to infinity; a reply that
+    echoed one (every op echoes ``id``) would not be JSON, so they are
+    refused anywhere in the line.  So are integer literals past
+    Python's int-string digit limit and nesting past the recursion
+    limit, which ``json`` reports as ``ValueError`` and
+    ``RecursionError`` rather than as a decode error.
+    """
     try:
-        payload = json.loads(line)
+        payload = _DECODER.decode(line)
+    except ProtocolError:
+        raise
     except json.JSONDecodeError as exc:
         raise ProtocolError(f"not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise ProtocolError(f"unreadable JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ProtocolError(f"expected a JSON object, got {type(payload).__name__}")
     return payload

@@ -316,10 +316,16 @@ def test_cache_advance_is_atomic_under_concurrent_fills():
     stop = threading.Event()
 
     def filler() -> None:
+        # Each step inserts a key, so the dicts change size under the
+        # advance, and then drops the key inserted 4096 steps before,
+        # so they stay bounded however long the advances take (an
+        # unbounded filler grew this process past 4 GB on a loaded host).
         i = 10**6
         while not stop.is_set():
             cache._worlds[frozenset({i})] = None
             cache._kernel_states[frozenset({i})] = (None, None)
+            cache._worlds.pop(frozenset({i - 4096}), None)
+            cache._kernel_states.pop(frozenset({i - 4096}), None)
             i += 1
 
     old_interval = sys.getswitchinterval()

@@ -88,7 +88,6 @@ def test_disabled_observability_overhead_under_three_percent():
         + counters.get("matcher.queries", 0)
         + counters.get("dtrs.sweeps", 0)
         + counters.get("worlds.built", 0)
-        + counters.get("worlds.extended", 0)
         + counters.get("cache.worlds_hits", 0)
         + counters.get("cache.worlds_misses", 0)
         + counters.get("kernel.batches", 0)

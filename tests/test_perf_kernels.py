@@ -6,8 +6,8 @@ fails first — its own HT multiset, then non-elimination over the
 closure, then the DTRS sweep — or is ``feasible`` exactly when the seed
 accepts the candidate.  So ``bfs_select``, and the per-candidate event
 stream it emits, must match the seed solver.  These tests pin that
-contract, the factorized ``extend_batch`` against the materializing
-``WorldSet.extend``, and the deadline-abort path.
+contract, the factorized ``extend_one`` against the closure's world
+set enumerated from its rings, and the deadline-abort path.
 
 Tests of the kernel carry its backend's name, ``python`` (big-int
 masks), in their ids, as they did when the kernel had more than one.
@@ -128,10 +128,10 @@ class TestExtendBatch:
         candidates = [
             frozenset(rng.sample(tokens, rng.randint(1, 4))) for _ in range(8)
         ]
-        extensions = state.extend_batch(candidates)
-        for cand_tokens, extension in zip(candidates, extensions):
+        for cand_tokens in candidates:
+            extension = state.extend_one(cand_tokens)
             candidate = make_ring("r_tau", cand_tokens, seq=99)
-            assert extension.count == len(worlds.extend(candidate)), (
+            assert extension.count == len(WorldSet(worlds.rings + [candidate])), (
                 f"extension count diverged for {sorted(cand_tokens)}"
             )
 

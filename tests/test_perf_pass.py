@@ -7,12 +7,17 @@ empty or a one-pair set determines the candidate's HT, before the
 recursive sweep sets anything up.  It may change when a verdict is
 found, never which: these tests pin every verdict against the sweep's
 answer on random instances, and pin that on a servebench-shaped batch
-only feasible candidates pay for a sweep.
+only feasible candidates pay for a sweep.  The sweep itself cuts every
+branch whose prefix already determines its target's HT; a line spy
+shows that cut firing on random instances whose verdicts still match
+the frozen seed checks.
 """
 
 from __future__ import annotations
 
+import linecache
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -24,6 +29,7 @@ from repro.core.perf.cache import SolverCache
 from repro.core.problem import DamsInstance
 from repro.core.ring import Ring, TokenUniverse
 from repro.data.monero import OUTPUT_COUNT_DISTRIBUTION
+from tests.test_perf_kernels import reference_gate
 
 
 def sweep_verdict(state, universe, tokens, c, ell) -> str:
@@ -146,3 +152,59 @@ def test_only_feasible_candidates_reach_the_sweep(monkeypatch):
     assert not any(reached["dtrs"])
     assert not any(reached.get("eliminated", ()))
     assert any(reached["feasible"])
+
+
+class PrefixCutSpy:
+    """Counts the sweep's prefix cuts: a ``break`` line of the kernel's
+    ``descend`` run at a node that is not a leaf (its determining
+    prefix is cut, not tested as a DTRS)."""
+
+    def __init__(self) -> None:
+        self.cuts = 0
+        self._previous = None
+
+    def __enter__(self) -> "PrefixCutSpy":
+        self._previous = sys.gettrace()
+        sys.settrace(self._call)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        sys.settrace(self._previous)
+
+    def _call(self, frame, event, arg):
+        code = frame.f_code
+        if code.co_name == "descend" and code.co_filename == kernels.__file__:
+            return self._line
+        return None
+
+    def _line(self, frame, event, arg):
+        if event == "line" and frame.f_locals.get("leaf") is False:
+            text = linecache.getline(frame.f_code.co_filename, frame.f_lineno)
+            if text.strip() == "break":
+                self.cuts += 1
+        return self._line
+
+
+def test_the_sweeps_prefix_cut_fires_and_verdicts_match_the_seed():
+    cut_seeds, verdicts = 0, set()
+    for seed in range(40):
+        instance = random_case(500 + seed, c=2.0, ell=2)
+        universe = instance.universe
+        cache = SolverCache(universe, instance.rings)
+        sigma = sorted(instance.candidate_mixins())
+        with PrefixCutSpy() as spy:
+            outcomes = []
+            for size in (1, 2, 3):
+                for mixins in combinations(sigma, size):
+                    tokens = frozenset(mixins) | {instance.target_token}
+                    if not ht_counts_satisfy(universe.ht_counts(tokens), 2.0, 2):
+                        continue
+                    state = cache.kernel_state(cache.related_key(tokens))
+                    outcomes.append((tokens, state.verdict_of(universe, tokens, 2.0, 2)))
+        for tokens, verdict in outcomes:
+            mixins = tuple(sorted(tokens - {instance.target_token}))
+            assert verdict == reference_gate(instance, mixins), f"seed {seed}: {sorted(tokens)}"
+            verdicts.add(verdict)
+        cut_seeds += spy.cuts > 0
+    assert cut_seeds >= 3, "the random instances must reach the prefix cut"
+    assert verdicts == {"eliminated", "dtrs", "feasible"}, verdicts

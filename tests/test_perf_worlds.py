@@ -4,10 +4,13 @@ Equivalence targets:
 
 * the world set itself equals ``enumerate_combinations`` (as sets of
   rid -> token dicts),
+* the pair masks made during enumeration, and the column, row and dict
+  views built from them, equal a one-bit-per-world rescan of the worlds
+  in backtracking order,
+* a closure's worlds are its base worlds extended by every candidate
+  token each leaves free (the factorization the batch kernels use),
 * ``dtrss_of`` produces exactly the seed ``get_dtrss_reference`` DTRSs
   (same (pairs, determined HT) sets),
-* ``extend`` (the shared-prefix closure used by the solver cache)
-  equals building the closure's WorldSet from scratch,
 * deadline enforcement raises inside enumeration, not after it.
 """
 
@@ -16,6 +19,7 @@ import random
 import pytest
 
 from repro.core.combinations import enumerate_combinations
+from repro.core.ring import related_ring_set
 from repro.core.dtrs import get_dtrss
 from repro.core.perf.reference import get_dtrss_reference
 from repro.core.perf.worlds import DeadlineExceeded, WorldSet
@@ -62,22 +66,123 @@ class TestWorldEnumeration:
         assert worlds.as_dicts() == [{}]
 
 
+def reference_rows(rings):
+    """The worlds as rows of token indices (sorted-name interning), in
+    the backtracking order ``WorldSet`` numbers them: most-constrained
+    ring first, each ring's tokens ascending, one world per leaf."""
+    names = sorted({token for ring in rings for token in ring.tokens})
+    index = {name: i for i, name in enumerate(names)}
+    candidates = [sorted(index[token] for token in ring.tokens) for ring in rings]
+    order = sorted(range(len(rings)), key=lambda i: len(candidates[i]))
+    assignment = [0] * len(rings)
+    rows = []
+
+    def backtrack(depth, used):
+        if depth == len(rings):
+            rows.append(tuple(assignment))
+            return
+        position = order[depth]
+        for token in candidates[position]:
+            if token not in used:
+                assignment[position] = token
+                backtrack(depth + 1, used | {token})
+
+    backtrack(0, frozenset())
+    return names, rows
+
+
+def rescanned_masks(rows):
+    """Pair masks from rows, one bit per world per ring."""
+    masks = {}
+    for world, row in enumerate(rows):
+        for position, token in enumerate(row):
+            masks[(position, token)] = masks.get((position, token), 0) | (1 << world)
+    return masks
+
+
+def mask_view_cases():
+    """Ring sets of 0-4 rings over 2-9 tokens: random ones, ones with
+    more rings than tokens (no SDR, so no world), and the empty set."""
+    cases = [[]]
+    for seed in range(60):
+        rng = random.Random(1500 + seed)
+        tokens = [f"t{i}" for i in range(rng.randint(2, 9))]
+        cases.append(
+            [
+                make_ring(f"r{i}", rng.sample(tokens, rng.randint(1, min(4, len(tokens)))), seq=i)
+                for i in range(rng.randint(0, 4))
+            ]
+        )
+    cases.append([make_ring(f"r{i}", {"a", "b"}, seq=i) for i in range(3)])
+    cases.append([make_ring("r0", {"a"}), make_ring("r1", {"a"}, seq=1)])
+    cases.append(
+        [make_ring("r0", {"a", "b"}), make_ring("r1", {"a"}, seq=1),
+         make_ring("r2", {"b"}, seq=2), make_ring("r3", {"c", "d"}, seq=3)]
+    )
+    return cases
+
+
+class TestMaskViews:
+    def test_masks_and_views_equal_a_rescan_of_the_rows(self):
+        sizes, empty = set(), 0
+        for rings in mask_view_cases():
+            names, rows = reference_rows(rings)
+            worlds = WorldSet(rings)
+            masks = rescanned_masks(rows)
+            assert worlds.pair_masks() == masks, [sorted(r.tokens) for r in rings]
+            by_position = [
+                sorted(token for position, token in masks if position == p)
+                for p in range(len(rings))
+            ]
+            assert worlds.tokens_by_position() == by_position
+            if rings:
+                assert len(worlds) == len(rows)
+                assert worlds.worlds == rows
+                assert [list(column) for column in worlds.columns] == [
+                    [row[p] for row in rows] for p in range(len(rings))
+                ]
+            else:
+                assert len(worlds) == 1 and worlds.worlds == [()]
+                assert worlds.columns == ()
+            assert worlds.full_mask == (1 << len(worlds)) - 1
+            assert worlds.as_dicts() == [
+                {ring.rid: names[token] for ring, token in zip(rings, row)}
+                for row in worlds.worlds
+            ]
+            sizes.add(len(rings))
+            empty += rings != [] and not rows
+        assert sizes == {0, 1, 2, 3, 4}
+        assert empty >= 3, "cases must include ring sets with no SDR"
+
+
 class TestExtend:
+    """A closure's worlds are its base worlds extended by the candidate
+    row: one world per base world and candidate token it leaves free.
+    The batch kernels answer from exactly this factorization."""
+
+    @staticmethod
+    def extended(base_rings, candidate):
+        worlds = set()
+        for world in WorldSet(base_rings).as_dicts():
+            taken = set(world.values())
+            for token in candidate.tokens - taken:
+                worlds.add(world_key({**world, candidate.rid: token}))
+        return worlds
+
     @pytest.mark.parametrize("seed", range(15))
     def test_extend_equals_rebuild(self, seed):
         _, rings = random_system(600 + seed, token_count=9)
         candidate = make_ring("r_tau", {"t0", "t4", "t7"}, seq=len(rings))
-        base = WorldSet(rings)
-        extended = {world_key(w) for w in base.extend(candidate).as_dicts()}
         rebuilt = {
             world_key(w) for w in WorldSet(rings + [candidate]).as_dicts()
         }
-        assert extended == rebuilt
+        assert self.extended(rings, candidate) == rebuilt
 
     def test_extend_empty_base(self):
         candidate = make_ring("r_tau", {"a", "b"})
-        worlds = WorldSet([]).extend(candidate)
-        assert {world_key(w) for w in worlds.as_dicts()} == {
+        assert self.extended([], candidate) == {
+            world_key(w) for w in WorldSet([candidate]).as_dicts()
+        } == {
             frozenset({("r_tau", "a")}),
             frozenset({("r_tau", "b")}),
         }
@@ -117,6 +222,38 @@ class TestDtrsEquivalence:
             ) == dtrs_keys(
                 get_dtrss_reference(target, rings, universe, max_size=cap)
             )
+
+    @staticmethod
+    def determining_case(seed):
+        """Closures over two or three HTs, with a candidate ring added:
+        few HTs make many pair sets determine, so the enumeration meets
+        determining prefixes (and cuts them) at every size."""
+        rng = random.Random(seed)
+        tokens = [f"t{i}" for i in range(rng.randint(5, 9))]
+        universe = TokenUniverse(
+            {token: f"h{rng.randrange(rng.choice([2, 3]))}" for token in tokens}
+        )
+        rings = [
+            make_ring(f"r{i}", rng.sample(tokens, rng.randint(2, 4)), seq=i)
+            for i in range(rng.randint(2, 5))
+        ]
+        candidate = make_ring("r_tau", rng.sample(tokens, 3), seq=len(rings))
+        return universe, related_ring_set(candidate, rings) + [candidate]
+
+    @pytest.mark.parametrize("max_size", [None, 1, 2])
+    def test_many_determining_sets_match_reference(self, max_size):
+        deep = 0
+        for seed in range(40):
+            universe, rings = self.determining_case(3000 + seed)
+            worlds = WorldSet(rings)
+            for target in rings:
+                ours = worlds.dtrss_of(target.rid, universe, max_size=max_size)
+                assert dtrs_keys(ours) == dtrs_keys(
+                    get_dtrss_reference(target, rings, universe, max_size=max_size)
+                ), f"seed {seed}, target {target.rid}, max_size {max_size}"
+                deep += sum(len(dtrs) >= 2 for dtrs in ours)
+        if max_size != 1:
+            assert deep > 20, "the cases must reach determining sets of size 2+"
 
     def test_memoized_repeat_query_hits_cache(self):
         universe, rings = random_system(1)

@@ -38,6 +38,7 @@ from repro.resilience.ladder import (
     ladder_select,
     verify_ring,
 )
+from tests.test_perf_pass import servebench_batch
 
 
 def dams_instance(tokens=14, hts=5, c=2.0, ell=3, seed=0, rings=()):
@@ -169,7 +170,8 @@ class TestLadder:
 def reference_failures(instance, tokens):
     """The Definition 5 re-check rebuilt from the frozen seed functions
     (eager worlds per ``get_dtrss`` call, fresh Kuhn matchings), the way
-    ``servebench/checks.py`` builds it."""
+    ``servebench/checks.py`` builds it.  Returns the failed constraints
+    and whether a related ring fails its claim in the closure."""
     universe = instance.universe
     candidate = instance.make_ring(set(tokens) - {instance.target_token})
     related = related_ring_set(candidate, instance.rings)
@@ -188,10 +190,10 @@ def reference_failures(instance, tokens):
         failed.append("diversity")
     if not check_non_eliminated_reference(closure):
         failed.append("non_eliminated")
-    if any(diverse_in(ring, related) and not diverse_in(ring, closure)
-           for ring in related):
+    failing_after = [ring for ring in related if not diverse_in(ring, closure)]
+    if any(diverse_in(ring, related) for ring in failing_after):
         failed.append("immutability")
-    return tuple(failed), related
+    return tuple(failed), bool(failing_after)
 
 
 def random_ring_to_verify(rng):
@@ -217,13 +219,15 @@ class TestVerifyRing:
     def test_matches_the_seed_recheck_on_random_rings(self):
         """verify_ring reports exactly the violations the seed functions
         find, on feasible and violating rings alike, and enumerates one
-        world set for the closure plus one for the closure without the
-        candidate (never one per checked ring)."""
+        world set for the closure, plus one for the closure without the
+        candidate only when a related ring fails its claim in the
+        closure (never one per checked ring)."""
         rng = random.Random(0)
         seen = Counter()
+        second_builds = 0
         for case in range(400):
             instance, tokens = random_ring_to_verify(rng)
-            expected, related = reference_failures(instance, tokens)
+            expected, failing_after = reference_failures(instance, tokens)
             with metrics.recording() as rec:
                 try:
                     reported = verify_ring(instance, tokens)
@@ -234,7 +238,8 @@ class TestVerifyRing:
                     assert reported == CONSTRAINTS
                     failed = ()
             assert failed == expected, f"case {case}: {failed} != {expected}"
-            assert rec.counters["worlds.built"] == (2 if related else 1)
+            assert rec.counters["worlds.built"] == 1 + failing_after
+            second_builds += failing_after
             mixins = tokens - {instance.target_token}
             assert is_feasible_exact(instance, mixins) == (not expected)
             seen[failed] += 1
@@ -243,6 +248,42 @@ class TestVerifyRing:
             for flags in product((False, True), repeat=len(CONSTRAINTS))
         }
         assert set(seen) == every_combination, seen
+        assert 0 < second_builds < 400
+
+    def test_a_served_ring_builds_one_world_set(self):
+        """A servebench-shaped answer: a 3-token ring inside an 11-token
+        super ring claimed at (1, 2), neither superset nor disjoint.
+        Its related ring keeps its claim, so the re-check enumerates the
+        closure's worlds only."""
+        universe, rings = servebench_batch(1)
+        member = sorted(rings[0].tokens)[0]
+        instance = DamsInstance(universe, rings, member, c=2.0, ell=2)
+        tokens = ladder_select(instance).result.tokens
+        assert len(tokens) == 3 and not tokens <= rings[0].tokens
+        ring = instance.make_ring(tokens - {member})
+        assert instance.related_rings(ring) == [rings[0]]
+        with metrics.recording() as rec:
+            assert verify_ring(instance, tokens) == CONSTRAINTS
+        assert rec.counters["worlds.built"] == 1
+        assert reference_failures(instance, tokens) == ((), False)
+
+    def test_a_broken_related_ring_still_fails_immutability(self):
+        """A ring that takes the only other token of an earlier
+        two-token ring pins that ring's HT: the earlier ring held its
+        claim before and fails it after, so the re-check builds the
+        closure's worlds without the candidate as well and reports
+        ``immutability`` exactly as the seed functions do."""
+        universe = TokenUniverse({"a": "h0", "b": "h1", "c": "h2", "d": "h3"})
+        earlier = Ring("r0", frozenset({"a", "b"}), c=2.0, ell=2, seq=0)
+        instance = DamsInstance(universe, [earlier], "c", c=1.0, ell=1)
+        tokens = frozenset({"b", "c"})
+        expected, failing_after = reference_failures(instance, tokens)
+        assert "immutability" in expected and failing_after
+        with metrics.recording() as rec:
+            with pytest.raises(ConstraintViolation) as excinfo:
+                verify_ring(instance, tokens)
+        assert excinfo.value.failed == expected
+        assert rec.counters["worlds.built"] == 2
 
 
 class TestDisabledFaultOverhead:

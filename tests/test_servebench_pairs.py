@@ -92,6 +92,7 @@ def test_rendered_summary_names_flags_totals_and_work_counts():
     assert "parent: 1000 operations attempted, 0 failed" in text
     assert "change: 1000 operations attempted, 1 failed" in text
     assert "work counts identical in 9 of 10 pairs" in text
+    assert "  bfs.candidates differs in 1 pair(s): 70 -> 71 over all pairs" in text.splitlines()
 
 
 def test_a_single_pair_has_its_value_as_every_quartile():

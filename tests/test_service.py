@@ -18,11 +18,15 @@ The batching determinism trick used throughout: submit against a
 from __future__ import annotations
 
 import contextlib
+import io
+import json
 import os
+import random
 import select
 import socket
 import threading
 import time
+from collections import Counter
 
 import pytest
 
@@ -495,6 +499,117 @@ def test_commit_with_a_non_finite_number_is_a_bad_request(tmp_path, override):
     assert elapsed < 0.1
     assert service.epoch == 0
     assert Journal(tmp_path / "j").recover().epoch == 0
+
+
+def strict_json(text: str):
+    """``json.loads`` that refuses the non-JSON constants Python writes
+    for non-finite floats (``NaN``, ``Infinity``, ``-Infinity``)."""
+
+    def refuse(name: str):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+NON_FINITE = ["NaN", "Infinity", "-Infinity", "1e999"]
+OP_FIELDS = {
+    "select": {"target": '"t3"', "c": "2", "ell": "2", "mode": '"exact"'},
+    "commit": {"tokens": '["t3","t4"]', "c": "2", "ell": "2", "rid": '"k1"'},
+    "epoch": {}, "stats": {}, "metrics": {}, "health": {}, "shutdown": {},
+}
+
+
+@pytest.mark.parametrize("spelling", NON_FINITE)
+@pytest.mark.parametrize("op", sorted(OP_FIELDS))
+def test_every_op_refuses_a_non_finite_id(op, spelling):
+    # Every op echoes the request's id; Python's json read NaN,
+    # Infinity and 1e999 and wrote them back as tokens no strict JSON
+    # parser accepts.  The line is refused before anything runs.
+    line = raw_line(op=f'"{op}"', id=spelling, **OP_FIELDS[op])
+    with SelectionService(small_universe(), history()) as service:
+        reply, keep_going = handle_line(service, line)
+    payload = strict_json(reply)
+    assert keep_going
+    assert (payload["status"], payload["code"]) == ("rejected", "bad_request")
+    assert service.epoch == 0
+    assert service.counters.get("requests", 0) == 0
+
+
+@pytest.mark.parametrize("spelling", NON_FINITE)
+def test_a_commit_with_a_non_finite_id_is_not_journaled(tmp_path, spelling):
+    journal = Journal(tmp_path / "j")
+    journal.append_genesis(small_universe(), history(), None)
+    service = SelectionService(
+        small_universe(), history(), ServiceConfig(journal=journal)
+    )
+    line = raw_line(op='"commit"', id=spelling, **OP_FIELDS["commit"])
+    reply, _ = handle_line(service, line)
+    journal.close()
+    assert strict_json(reply)["code"] == "bad_request"
+    assert service.epoch == 0
+    assert Journal(tmp_path / "j").recover().epoch == 0
+
+
+def test_stdio_answers_lines_json_cannot_read():
+    # An integer literal past Python's int-string digit limit raised
+    # ValueError, and deep nesting RecursionError, out of the session's
+    # reader: the stdio session ended without answering the lines after.
+    lines = [
+        raw_line(op='"epoch"', id="1" * 5000),
+        "[" * 100_000,
+        raw_line(op='"epoch"', id='"e"'),
+        raw_line(op='"shutdown"', id='"s"'),
+    ]
+    out = io.StringIO()
+    with SelectionService(small_universe(), history()) as service:
+        served = serve_stdio(service, io.StringIO("\n".join(lines) + "\n"), out)
+    replies = [strict_json(reply) for reply in out.getvalue().splitlines()]
+    assert served == 4
+    assert [reply.get("code") for reply in replies[:2]] == ["bad_request"] * 2
+    assert replies[2]["status"] == "ok" and replies[2]["id"] == "e"
+    assert replies[3]["shutdown"] is True
+
+
+FUZZ_VALUES = [
+    "NaN", "Infinity", "-Infinity", "1e999", "-1e999", "1e308", "-0.0", "0",
+    "-1", "1", "2", "3", "2.5", "123456789012345678901234567890", '"t3"',
+    '"t4"', '"t9"', '""', '"nan"', '"inf"', '"exact"', '"ladder"', '"x"',
+    "null", "true", "false", "[]", "{}", '["t3","t4"]', '["t5"]',
+    '["t3",NaN]', "[[[1]]]", '{"a":NaN}', '{"version":1,"faults":[]}',
+    '{"faults":7}', '"\\u0000"', '"k1"', '"k2"',
+]
+FUZZ_KEYS = [
+    "id", "target", "c", "ell", "mode", "epoch", "budget", "max_mixins",
+    "seed", "fault_plan", "tokens", "rid",
+]
+
+
+def test_fuzzed_request_lines_each_get_one_json_reply():
+    # Each op's valid line with up to four protocol keys set to hostile
+    # values, a tenth of the lines cut short: every line gets exactly
+    # one reply, and the reply is a JSON object with a status that a
+    # strict parser reads.
+    rng = random.Random(24)
+    statuses = Counter()
+    with SelectionService(
+        small_universe(), history(), ServiceConfig(default_budget=0.05)
+    ) as service:
+        for _ in range(2000):
+            op = rng.choice([*OP_FIELDS, "teleport", None])
+            fields = {} if op is None else {"op": f'"{op}"', "id": '"q"', **OP_FIELDS.get(op, {})}
+            for key in rng.sample(FUZZ_KEYS, rng.randint(0, 4)):
+                fields[key] = rng.choice(FUZZ_VALUES)
+            line = raw_line(**fields)
+            if rng.random() < 0.1:
+                line = line[: rng.randrange(len(line))]
+            reply, _ = handle_line(service, line)
+            assert "\n" not in reply
+            payload = strict_json(reply)
+            assert isinstance(payload, dict) and "status" in payload, reply
+            statuses[payload["status"]] += 1
+    assert service.epoch > 0, "some fuzzed commits must apply"
+    assert statuses["ok"] > 100 and statuses["rejected"] > 100, statuses
+    assert statuses["error"] > 0, statuses
 
 
 @pytest.mark.parametrize("c", [float("nan"), float("inf")])

@@ -302,6 +302,56 @@ def test_recover_refuses_an_epoch_gap_past_a_corrupt_snapshot(tmp_path, capsys):
     assert "epoch 2 is missing" in capsys.readouterr().out
 
 
+def epoch_gap_journal(home: Path) -> None:
+    """The journal of the test above: its newest snapshot is broken and
+    the WAL no longer covers the commit only that snapshot held."""
+    universe = recovery_universe()
+    journal = Journal(home, sync_every=1, snapshot_every=0)
+    journal.append_genesis(universe, (), None)
+    rings: list[Ring] = []
+    for i in range(4):
+        ring = Ring(f"r{i}", frozenset({f"t{i:02d}"}), c=1.0, ell=1, seq=i)
+        rings.append(ring)
+        journal.append_commit(i + 1, ring)
+        if i == 1:
+            journal.write_snapshot(2, None)
+    journal.close()
+    (home / "snapshot-00000001.json").write_text(snapshot_frame(universe, rings[:1], 1))
+    path = home / "snapshot-00000002.json"
+    path.write_text(break_crc(path.read_text()))
+
+
+def unusable_genesis_journal(home: Path) -> None:
+    """A WAL holding one CRC-valid genesis frame with no ``data``."""
+    home.mkdir()
+    (home / "wal.jsonl").write_text(encode_frame({"op": "genesis", "epoch": 0, "seq": 0}) + "\n")
+
+
+@pytest.mark.parametrize(
+    "make_journal, reason",
+    [(unusable_genesis_journal, "genesis unusable"), (epoch_gap_journal, "epoch 2 is missing")],
+)
+def test_serve_refuses_an_unrecoverable_journal_with_one_line(tmp_path, make_journal, reason):
+    # Recovery refuses the journal; serve says so on one line and exits
+    # EX_DATAERR, releasing its pidfile, so a second start gets the
+    # same answer rather than "already running".
+    home = tmp_path / "j"
+    make_journal(home)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+    for _ in range(2):
+        proc = subprocess.run(
+            serve_command(tmp_path / "d.sock", home),
+            env=env, capture_output=True, text=True, timeout=60.0,
+        )
+        assert proc.returncode == 65, proc.stderr
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: journal refused: "), lines
+        assert reason in lines[0]
+    assert not (home / "daemon.pid").exists()
+
+
 def test_recover_truncates_torn_tail_and_reports(tmp_path):
     universe = recovery_universe()
     journal = Journal(tmp_path / "j", sync_every=1, snapshot_every=0)

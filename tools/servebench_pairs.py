@@ -21,8 +21,9 @@ pairs the change won, ties counting for neither side.  A metric whose
 median got worse by more than its bound is flagged ``WORSE``; ``gain``
 marks a metric the change won in at least nine pairs of ten with
 medians further apart than the parent's interquartile range.  Then the
-attempted and failed operation totals of each side, and in how many
-pairs the two sides' daemon work counts were identical.
+attempted and failed operation totals of each side, in how many pairs
+the two sides' daemon work counts were identical, and each count that
+differed, with its total on each side.
 
 Exit codes: 0 done, 1 a run failed or reported a wrong answer, 2 a
 metric of any workload is worse than its bound.
@@ -139,8 +140,15 @@ def render(rows: list[dict], pairs: list[dict[str, dict]]) -> str:
         attempted = sum(pair[name]["attempted"] for pair in pairs)
         failed = sum(pair[name]["failed"] for pair in pairs)
         lines.append(f"{name}: {attempted} operations attempted, {failed} failed")
-    same = sum(pair["parent"]["work_counts"] == pair["change"]["work_counts"] for pair in pairs)
+    counts = [{side: pair[side]["work_counts"] or {} for side in SIDES} for pair in pairs]
+    same = sum(pair["parent"] == pair["change"] for pair in counts)
     lines.append(f"work counts identical in {same} of {len(pairs)} pairs")
+    names = sorted({name for pair in counts for side in SIDES for name in pair[side]})
+    for name in names:
+        differ = sum(pair["parent"].get(name) != pair["change"].get(name) for pair in counts)
+        if differ:
+            parent, change = (sum(pair[side].get(name, 0) for pair in counts) for side in SIDES)
+            lines.append(f"  {name} differs in {differ} pair(s): {parent} -> {change} over all pairs")
     return "\n".join(lines)
 
 
