@@ -24,11 +24,19 @@ every substrate the paper depends on:
 * :mod:`repro.experiments` — the harness that regenerates every figure.
 """
 
-from importlib.metadata import PackageNotFoundError, version
-
-try:
-    __version__ = version("repro")
-except PackageNotFoundError:  # pragma: no cover - not installed
-    __version__ = "0.0.0"
-
 __all__ = ["__version__"]
+
+
+def __getattr__(name: str) -> str:
+    # The installed distribution's version, read on first access only:
+    # importlib.metadata costs a daemon start tens of milliseconds.
+    if name != "__version__":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib.metadata import PackageNotFoundError, version
+
+    try:
+        value = version("repro")
+    except PackageNotFoundError:  # pragma: no cover - not installed
+        value = "0.0.0"
+    globals()["__version__"] = value
+    return value

@@ -39,7 +39,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
-from typing import Callable
 
 #: sysexits(3)-style codes for the typed failures (satellite contract).
 EXIT_BUDGET_EXCEEDED = 75
@@ -50,33 +49,26 @@ EXIT_ALREADY_RUNNING = 69
 #: an unusable genesis, an epoch gap).
 EXIT_JOURNAL_REFUSED = 65
 
-from .experiments.figures import (
-    fig3_output_distribution,
-    fig4_bfs_scaling,
-    fig5_vary_c,
-    fig6_vary_ell,
-    fig7_vary_sigma,
-    fig8_vary_super_count,
-    fig9_vary_super_size,
-    fig10_vary_fresh,
-)
-from .experiments.harness import format_table
 from .obs import metrics as obs_metrics
 from .obs import trace as obs_trace
 
 __all__ = ["main"]
 
-_SWEEPS: dict[str, Callable] = {
-    "fig5": fig5_vary_c,
-    "fig6": fig6_vary_ell,
-    "fig7": fig7_vary_sigma,
-    "fig8": fig8_vary_super_count,
-    "fig9": fig9_vary_super_size,
-    "fig10": fig10_vary_fresh,
+#: The figure sweeps, by command: names in :mod:`repro.experiments.figures`,
+#: imported by the command that runs one (``serve`` never loads them).
+_SWEEPS: dict[str, str] = {
+    "fig5": "fig5_vary_c",
+    "fig6": "fig6_vary_ell",
+    "fig7": "fig7_vary_sigma",
+    "fig8": "fig8_vary_super_count",
+    "fig9": "fig9_vary_super_size",
+    "fig10": "fig10_vary_fresh",
 }
 
 
 def _run_fig3(args: argparse.Namespace) -> None:
+    from .experiments.figures import fig3_output_distribution
+
     distribution = fig3_output_distribution(seed=args.seed)
     print(f"{'outputs/tx':>10} | {'transactions':>12}")
     print("-" * 26)
@@ -87,6 +79,8 @@ def _run_fig3(args: argparse.Namespace) -> None:
 
 
 def _run_fig4(args: argparse.Namespace) -> None:
+    from .experiments.figures import fig4_bfs_scaling
+
     measurements = fig4_bfs_scaling(
         token_count=args.tokens,
         max_rings=args.max_rings,
@@ -101,7 +95,12 @@ def _run_fig4(args: argparse.Namespace) -> None:
 
 
 def _run_sweep(name: str, args: argparse.Namespace) -> None:
-    sweep = _SWEEPS[name](instances_per_point=args.instances, seed=args.seed)
+    from .experiments import figures
+    from .experiments.harness import format_table
+
+    sweep = getattr(figures, _SWEEPS[name])(
+        instances_per_point=args.instances, seed=args.seed
+    )
     print("Mean ring size:")
     print(format_table(sweep, "mean_size"))
     print("\nMean selection time (s):")

@@ -28,8 +28,9 @@ equivalence test suite proving identical output):
   kernel (:func:`~repro.core.perf.kernels.prefilter_chunk`), which
   answers the non-eliminated and DTRS checks from factorized world
   masks instead of materializing each closure's worlds, and stops at
-  the chunk's first feasible candidate; an in-order replay then counts
-  each verdict and returns at that candidate;
+  the chunk's first feasible candidate; an in-order replay then fires
+  each candidate's fault hook, publishes the chunk's verdicts as one
+  tally event and returns at that candidate;
 * the ``time_budget`` is threaded *into* the kernel as a deadline —
   the seed only looked at the clock between candidates, so a single
   candidate's DTRS sweep could overshoot the budget unboundedly.
@@ -160,9 +161,9 @@ def bfs_select(
                 while batch := list(islice(stream, KERNEL_BATCH_SIZE)):
                     # One kernel pass resolves the chunk up to and
                     # including its first feasible candidate; the
-                    # in-order replay below returns at that candidate
-                    # and keeps the seed's deadline, fault-hook and
-                    # event semantics.
+                    # in-order replay keeps the seed's deadline and
+                    # fault-hook semantics, and the search returns at
+                    # that candidate.
                     verdicts = prefilter_chunk(
                         instance, cache, batch, deadline=deadline
                     )
@@ -170,21 +171,20 @@ def bfs_select(
                         raise _trip_budget(
                             time_budget, checked, size, scanned_in_size, deadline
                         )
-                    for verdict, mixin_tuple in zip(verdicts, batch):
-                        if deadline is not None and time.perf_counter() > deadline:
-                            raise _trip_budget(
-                                time_budget, checked, size, scanned_in_size,
-                                deadline,
-                            )
-                        checked += 1
-                        scanned_in_size += 1
-                        if _replay_candidate(size, verdict):
-                            if stratum_span is not None:
-                                stratum_span.attrs["candidates"] = scanned_in_size
-                            return _finish(
-                                select_span, instance.make_ring(mixin_tuple),
-                                frozenset(mixin_tuple), checked, start,
-                            )
+                    _replay_chunk(
+                        verdicts, size, deadline, time_budget, checked,
+                        scanned_in_size,
+                    )
+                    checked += len(verdicts)
+                    scanned_in_size += len(verdicts)
+                    if verdicts[-1] == "feasible":
+                        if stratum_span is not None:
+                            stratum_span.attrs["candidates"] = scanned_in_size
+                        mixin_tuple = batch[len(verdicts) - 1]
+                        return _finish(
+                            select_span, instance.make_ring(mixin_tuple),
+                            frozenset(mixin_tuple), checked, start,
+                        )
                 if stratum_span is not None:
                     stratum_span.attrs["candidates"] = scanned_in_size
                 if events.enabled():
@@ -241,22 +241,40 @@ def _trip_budget(
     )
 
 
-def _replay_candidate(size: int, verdict: str) -> bool:
-    """One candidate of the in-order replay after the kernel pre-filter.
+def _replay_chunk(
+    verdicts: list[str],
+    size: int,
+    deadline: float | None,
+    time_budget: float | None,
+    checked: int,
+    scanned_in_size: int,
+) -> None:
+    """Replay one chunk's verdicts in enumeration order.
 
-    Fires the ``bfs.candidate`` fault hook (once per candidate, in
-    enumeration order) and emits the
-    :class:`~repro.obs.events.CandidateScanned` event naming the gate
-    that ``verdict`` reports; returns whether the candidate is feasible.
+    Per candidate, as the seed's scan did: the deadline is checked
+    before it and the ``bfs.candidate`` fault hook fires for it (the
+    active plan is read once per chunk).  The replayed prefix is
+    published as one :class:`~repro.obs.events.CandidatesScanned`
+    tally on every exit, so a chunk cut short by a deadline trip or an
+    injected fault counts the candidates it got through.  ``checked``
+    and ``scanned_in_size`` are the search's counts before the chunk,
+    for the budget exception.
     """
     plan = faults.active()
-    if plan is not None:
-        plan.check("bfs.candidate")
-    feasible = verdict == "feasible"
-    if events.enabled():
-        events.emit(
-            events.CandidateScanned(
-                size=size, filtered_at=None if feasible else verdict
-            )
-        )
-    return feasible
+    replayed = 0
+    try:
+        if plan is None and deadline is None:
+            replayed = len(verdicts)
+            return
+        for _ in verdicts:
+            if deadline is not None and time.perf_counter() > deadline:
+                raise _trip_budget(
+                    time_budget, checked + replayed, size,
+                    scanned_in_size + replayed, deadline,
+                )
+            if plan is not None:
+                plan.check("bfs.candidate")
+            replayed += 1
+    finally:
+        if replayed and events.enabled():
+            events.emit(events.CandidatesScanned.tally(size, verdicts[:replayed]))

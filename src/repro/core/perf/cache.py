@@ -244,7 +244,12 @@ class SolverCache:
     # -- shared world prefixes --------------------------------------------
 
     def base_worlds(self, key: frozenset[int], deadline: float | None = None) -> WorldSet:
-        """The (cached) WorldSet of the related rings under ``key``."""
+        """The (cached) WorldSet of the related rings under ``key``.
+
+        Counts the lookup in :attr:`stats` only; the kernel pre-filter
+        publishes a chunk's hits and misses as one event
+        (:class:`~repro.obs.events.KernelBatchScanned`).
+        """
         plan = faults.active()
         if plan is not None and plan.check("cache.worlds") is not None:
             # Cooperative corruption: drop the cached entry so the world
@@ -254,14 +259,10 @@ class SolverCache:
         worlds = self._worlds.get(key)
         if worlds is None:
             self.stats.worlds_misses += 1
-            if events.enabled():
-                events.emit(events.CacheWorldsLookup(hit=False))
             worlds = WorldSet(self.related_rings(key), deadline=deadline)
             self._worlds[key] = worlds
         else:
             self.stats.worlds_hits += 1
-            if events.enabled():
-                events.emit(events.CacheWorldsLookup(hit=True))
         return worlds
 
     def kernel_state(

@@ -68,12 +68,11 @@ masks: at the few-dozen-world sets the exact pipeline reaches,
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from itertools import combinations as subset_combinations
 from typing import Iterable, Sequence
 
 from ...obs import events
-from ..diversity import ht_labels_satisfy, satisfies_recursive_diversity
+from ..diversity import ht_labels_satisfy
 from ..ring import Ring, TokenUniverse
 from .worlds import _DEADLINE_STRIDE, DeadlineExceeded, WorldSet
 
@@ -82,7 +81,7 @@ __all__ = [
     "BACKEND",
     "KernelBackend",
     "KernelState",
-    "Extension",
+    "one_token_fails",
     "prefilter_chunk",
 ]
 
@@ -90,21 +89,15 @@ __all__ = [
 KERNEL_BATCH_SIZE = 64
 
 
+def one_token_fails(c: float, ell: int) -> bool:
+    """Does a one-token HT multiset fail recursive (c, l)-diversity?
 
-@dataclass(frozen=True, slots=True)
-class Extension:
-    """One candidate's extended world set, factorized by candidate token.
-
-    ``slices[t]`` masks the base worlds where token ``t`` is free (the
-    worlds extended by assigning ``t`` to the candidate row); ``union``
-    is their union; ``count`` is the number of extended worlds — equal
-    to ``len(WorldSet(base.rings + [candidate]))`` without
-    materializing any of them.
+    ``not satisfies_recursive_diversity([1], c, ell)`` in closed form
+    for l >= 1: the tail sum q_l + ... is 1 when l = 1 and 0 otherwise,
+    so the test ``1 < c * tail`` passes exactly when l = 1 and c > 1.
+    It depends on the requirement alone, never on the candidate.
     """
-
-    slices: dict[str, int]
-    union: int
-    count: int
+    return ell != 1 or not c > 1
 
 
 class _Row:
@@ -153,18 +146,26 @@ class KernelState:
 
     # -- bulk world extension ---------------------------------------------
 
-    def extend_one(self, tokens: Iterable[str]) -> Extension:
-        """Factorized extension of the base table by one candidate row."""
+    def slices_of(self, tokens: Iterable[str]) -> tuple[dict[str, int], int]:
+        """One candidate's extended world set, factorized by token.
+
+        ``slices[t]`` masks the base worlds where token ``t`` is free
+        (the worlds extended by assigning ``t`` to the candidate row),
+        in sorted token order, and ``union`` is their union.  The
+        extended set has ``sum(s.bit_count() for s in slices.values())``
+        worlds, equal to ``len(WorldSet(base.rings + [candidate]))``
+        without materializing any of them.
+        """
+        presence = self.presence
+        full = self.full
         slices: dict[str, int] = {}
         union = 0
-        count = 0
         for name in sorted(tokens):
-            held = self.presence.get(name)
-            free = self.full if held is None else self.full & ~held
+            held = presence.get(name)
+            free = full if held is None else full & ~held
             slices[name] = free
             union |= free
-            count += free.bit_count()
-        return Extension(slices=slices, union=union, count=count)
+        return slices, union
 
     # -- the batched feasibility pre-sweep --------------------------------
 
@@ -195,8 +196,9 @@ class KernelState:
           group of the slices: that size-1 pair set determines the
           candidate's HT and is minimal, since the empty set does not,
           and its one-token HT multiset fails (c, l) unless l = 1 and
-          c > 1.  The sweep would meet the same DTRS at size 1, where
-          no other size-1 set can dominate it.
+          c > 1 (:func:`one_token_fails`).  The sweep would meet the
+          same DTRS at size 1, where no other size-1 set can dominate
+          it.
 
         Only then does the recursive sweep run.  It enumerates minimal
         determining pair sets per closure target in ascending size on
@@ -211,9 +213,8 @@ class KernelState:
         if deadline is not None and 1 % _DEADLINE_STRIDE == 0:
             if time.perf_counter() > deadline:
                 raise DeadlineExceeded("kernel DTRS sweep passed its deadline")
-        extension = self.extend_one(tokens)
-        slices = extension.slices
-        union = extension.union
+        slices, union = self.slices_of(tokens)
+        ht_of = universe.ht_of
         # Non-eliminated over the closure: every candidate token has a
         # free world (so the union is nonzero), and every base ring
         # keeps every token possible.
@@ -221,14 +222,14 @@ class KernelState:
         for name, free in slices.items():
             if not free:
                 return "eliminated"
-            ht = universe.ht_of(name)
+            ht = ht_of(name)
             groups[ht] = groups.get(ht, 0) | free
         for mask in self.ring_token_masks:
             if not mask & union:
                 return "eliminated"
         if len(groups) == 1:
             return "dtrs"
-        if not satisfies_recursive_diversity([1], c, ell):
+        if one_token_fails(c, ell):
             group_masks = tuple(groups.values())
             for mask in self.pair_masks:
                 touched = 0
@@ -423,28 +424,41 @@ def prefilter_chunk(
     candidate gets a verdict for every entry.
 
     Each verdict depends only on (instance, candidate), never on how
-    the stream was chunked.
+    the stream was chunked.  The chunk publishes one
+    :class:`~repro.obs.events.KernelBatchScanned` event on every exit,
+    carrying its solver-cache lookups (read off ``cache.stats``).
     """
     universe = instance.universe
-    target = instance.target_token
+    ht_of = universe.ht_of
+    target = (instance.target_token,)
     c, ell = instance.c, instance.ell
+    stats = cache.stats
+    hits, misses = stats.worlds_hits, stats.worlds_misses
     verdicts: list[str] = []
+    aborted = True
     try:
         for mixin_tuple in chunk:
-            tokens = frozenset(mixin_tuple) | {target}
-            if not ht_labels_satisfy(map(universe.ht_of, tokens), c, ell):
+            tokens = frozenset(mixin_tuple + target)
+            if not ht_labels_satisfy(map(ht_of, tokens), c, ell):
                 verdicts.append("ht")
                 continue
-            key = cache.related_key(tokens)
-            state = cache.kernel_state(key, deadline=deadline)
+            state = cache.kernel_state(cache.related_key(tokens), deadline=deadline)
             verdict = state.verdict_of(universe, tokens, c, ell, deadline=deadline)
             verdicts.append(verdict)
             if verdict == "feasible":
                 break
+        aborted = False
     except DeadlineExceeded:
         return None
-    if events.enabled():
-        events.emit(
-            events.KernelBatchScanned(candidates=len(chunk), resolved=len(verdicts))
-        )
+    finally:
+        if events.enabled():
+            events.emit(
+                events.KernelBatchScanned(
+                    candidates=len(chunk),
+                    resolved=len(verdicts),
+                    worlds_hits=stats.worlds_hits - hits,
+                    worlds_misses=stats.worlds_misses - misses,
+                    aborted=aborted,
+                )
+            )
     return verdicts

@@ -8,7 +8,10 @@ counters/gauges the event defines) and drops an instant marker into
 the active trace.  The very hottest sites (per augmenting-path repair
 inside :class:`~repro.core.perf.matching.IncrementalMatcher`) bypass
 the event object and bump their canonical counters directly; the names
-are still declared here.
+are still declared here.  The exact search publishes per chunk, not
+per candidate: one :class:`CandidatesScanned` tally per replayed chunk
+and one :class:`KernelBatchScanned` per kernel pre-filter call, which
+also carries the chunk's solver-cache lookups.
 """
 
 from __future__ import annotations
@@ -20,11 +23,10 @@ from . import metrics, trace
 
 __all__ = [
     "Event",
-    "CandidateScanned",
+    "CandidatesScanned",
     "StratumExhausted",
     "WorldsBuilt",
     "DtrsSweep",
-    "CacheWorldsLookup",
     "KernelStateBuilt",
     "KernelBatchScanned",
     "DeadlineTripped",
@@ -55,20 +57,42 @@ class Event(Protocol):
 
 
 @dataclass(frozen=True, slots=True)
-class CandidateScanned:
-    """One BFS candidate checked; ``filtered_at`` names the failing gate
-    ("ht", "eliminated", "dtrs") or is None for a feasible candidate."""
+class CandidatesScanned:
+    """One chunk of a size-``size`` BFS stratum replayed in enumeration
+    order: how many candidates each gate stopped ("ht", "eliminated",
+    "dtrs") and how many were feasible (0 or 1 — the replay stops at
+    the first).  Published once per chunk, on every exit, so a chunk
+    cut short by a deadline or an injected fault counts the candidates
+    it replayed."""
 
     size: int
-    filtered_at: str | None
+    ht: int
+    eliminated: int
+    dtrs: int
+    feasible: int
+
+    @classmethod
+    def tally(cls, size: int, verdicts: list[str]) -> "CandidatesScanned":
+        """The event for ``verdicts``, the replayed prefix of a chunk."""
+        return cls(
+            size=size,
+            ht=verdicts.count("ht"),
+            eliminated=verdicts.count("eliminated"),
+            dtrs=verdicts.count("dtrs"),
+            feasible=verdicts.count("feasible"),
+        )
 
     def record(self, recorder: metrics.Recorder) -> None:
-        recorder.count("bfs.candidates")
-        recorder.count(f"bfs.candidates.size{self.size}")
-        if self.filtered_at is None:
-            recorder.count("bfs.feasible")
-        else:
-            recorder.count(f"bfs.filtered.{self.filtered_at}")
+        scanned = self.ht + self.eliminated + self.dtrs + self.feasible
+        recorder.count("bfs.candidates", scanned)
+        recorder.count(f"bfs.candidates.size{self.size}", scanned)
+        if self.feasible:
+            recorder.count("bfs.feasible", self.feasible)
+        for gate, stopped in (
+            ("ht", self.ht), ("eliminated", self.eliminated), ("dtrs", self.dtrs)
+        ):
+            if stopped:
+                recorder.count(f"bfs.filtered.{gate}", stopped)
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,16 +133,6 @@ class DtrsSweep:
 
 
 @dataclass(frozen=True, slots=True)
-class CacheWorldsLookup:
-    """A SolverCache base-world lookup (component/world sharing)."""
-
-    hit: bool
-
-    def record(self, recorder: metrics.Recorder) -> None:
-        recorder.count("cache.worlds_hits" if self.hit else "cache.worlds_misses")
-
-
-@dataclass(frozen=True, slots=True)
 class KernelStateBuilt:
     """A columnar kernel state (slices + HT masks) derived from a cached
     base world set."""
@@ -138,13 +152,25 @@ class KernelBatchScanned:
     ``resolved`` counts the verdicts the kernel computed: the chunk's
     candidates up to and including its first feasible one (all of them
     when none is feasible).  The candidates past that one are never
-    scanned.
+    scanned.  ``worlds_hits`` / ``worlds_misses`` are the chunk's
+    :class:`~repro.core.perf.cache.SolverCache` base-world lookups.  A
+    chunk cut short by a deadline or an exception (``aborted``) still
+    reports its lookups, but counts as no batch.
     """
 
     candidates: int
     resolved: int
+    worlds_hits: int
+    worlds_misses: int
+    aborted: bool
 
     def record(self, recorder: metrics.Recorder) -> None:
+        if self.worlds_hits:
+            recorder.count("cache.worlds_hits", self.worlds_hits)
+        if self.worlds_misses:
+            recorder.count("cache.worlds_misses", self.worlds_misses)
+        if self.aborted:
+            return
         recorder.count("kernel.batches")
         recorder.count("kernel.candidates", self.candidates)
         recorder.count("kernel.resolved", self.resolved)

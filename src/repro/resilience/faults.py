@@ -70,6 +70,7 @@ __all__ = [
     "KNOWN_ACTIONS",
     "KNOWN_SITES",
     "FAULT_PLAN_FORMAT_VERSION",
+    "MAX_PAYLOAD_S",
     "InjectedFault",
     "InjectedIOError",
     "FaultSpec",
@@ -82,6 +83,11 @@ __all__ = [
 FAULT_PLAN_FORMAT_VERSION = 1
 
 KNOWN_ACTIONS = ("die", "hang", "delay", "error", "io_error", "corrupt", "skew")
+
+#: Largest ``payload`` a spec takes, in seconds (about 11.6 days): far
+#: above any chaos hang, and below the longest ``time.sleep`` every
+#: platform accepts, so a ``hang``/``delay`` never overflows the sleep.
+MAX_PAYLOAD_S = 1e6
 
 #: The sites the pipeline actually checks (documentation + validation).
 KNOWN_SITES = (
@@ -126,7 +132,8 @@ class FaultSpec:
             (0 = first try), so a requeued call survives its retry.
         probability: fire with this probability per visit, drawn from a
             per-site stream seeded by the plan seed (deterministic).
-        payload: seconds for ``hang``/``delay``/``skew``.
+        payload: seconds for ``hang``/``delay``/``skew``, within
+            [0, :data:`MAX_PAYLOAD_S`].
         max_fires: cap on fires per process (``None`` = unlimited).
 
     When ``at_hit``, ``at_index`` and ``probability`` are all unset the
@@ -148,12 +155,28 @@ class FaultSpec:
                 f"unknown fault action {self.action!r}; known: "
                 f"{', '.join(KNOWN_ACTIONS)}"
             )
-        if not self.site:
+        if not isinstance(self.site, str) or not self.site:
             raise ValueError("fault site must be a non-empty string")
-        if not 0.0 <= self.probability <= 1.0:
-            raise ValueError("probability must be within [0, 1]")
-        if self.payload < 0:
-            raise ValueError("payload must be >= 0 seconds")
+        for name in ("at_hit", "at_index", "max_fires"):
+            value = getattr(self, name)
+            if value is not None and not _is_int(value):
+                raise ValueError(f"{name} must be an integer or null, got {value!r}")
+        if not _is_int(self.on_attempt):
+            raise ValueError(f"on_attempt must be an integer, got {self.on_attempt!r}")
+        if not (_is_real(self.probability) and 0.0 <= self.probability <= 1.0):
+            raise ValueError("probability must be a number within [0, 1]")
+        if not (_is_real(self.payload) and 0.0 <= self.payload <= MAX_PAYLOAD_S):
+            raise ValueError(
+                f"payload must be a number of seconds within [0, {MAX_PAYLOAD_S:g}]"
+            )
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 class FaultPlan:

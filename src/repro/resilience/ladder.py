@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Callable
 
 from ..core.baselines import smallest_select  # noqa: F401 - registers "smallest"
 from ..core.bfs import SearchBudgetExceeded, bfs_select
@@ -151,7 +152,7 @@ def _verified_at(
 
 def ladder_select(
     instance: DamsInstance,
-    modules: ModuleUniverse | None = None,
+    modules: Callable[[], ModuleUniverse] | None = None,
     time_budget: float | None = None,
     max_mixins: int | None = None,
     rng: random.Random | None = None,
@@ -161,8 +162,12 @@ def ladder_select(
     """Run the ladder on ``instance`` and return a verified ring.
 
     Args:
-        modules: the practical-configuration decomposition used by the
-            non-exact rungs (built from the instance when omitted).
+        modules: a zero-argument callable returning the practical-
+            configuration decomposition the non-exact rungs use (the
+            service passes its snapshot's).  It is called only when a
+            non-exact rung runs, so a ring the exact rung serves never
+            builds one; when omitted the decomposition is built from
+            the instance at that point.
         time_budget / max_mixins: forwarded to the exact rung's
             :func:`~repro.core.bfs.bfs_select`.
         cache: a :class:`~repro.core.perf.cache.SolverCache` shared with
@@ -197,22 +202,27 @@ def ladder_select(
         >>> sorted(outcome.result.tokens)
         ['t3', 't4']
     """
-    if modules is None:
-        modules = ModuleUniverse(instance.universe, instance.rings)
     target = instance.target_token
     c, ell = instance.c, instance.ell
     trigger: str | None = None
     last_error: Exception | None = None
+    decomposition: ModuleUniverse | None = None
 
     with trace.span(
         "resilience.ladder", target=target, rungs=",".join(rungs)
     ) as span:
         for position, rung in enumerate(rungs):
+            if rung != "exact" and decomposition is None:
+                decomposition = (
+                    ModuleUniverse(instance.universe, instance.rings)
+                    if modules is None
+                    else modules()
+                )
             try:
                 outcome = _run_rung(
                     rung,
                     instance,
-                    modules,
+                    decomposition,
                     trigger,
                     time_budget=time_budget,
                     max_mixins=max_mixins,
@@ -263,7 +273,7 @@ def ladder_select(
 def _run_rung(
     rung: str,
     instance: DamsInstance,
-    modules: ModuleUniverse,
+    modules: ModuleUniverse | None,
     trigger: str | None,
     time_budget: float | None,
     max_mixins: int | None,

@@ -66,6 +66,7 @@ from .protocol import (
     ERROR_FAULT_INJECTED,
     ERROR_INFEASIBLE,
     ERROR_INTERNAL,
+    REJECT_BAD_REQUEST,
     REJECT_QUEUE_FULL,
     REJECT_STALE_EPOCH,
     SelectRequest,
@@ -265,35 +266,47 @@ class SelectionService:
     def submit(self, request: SelectRequest) -> PendingResult:
         """Admit ``request`` (non-blocking).
 
-        A full queue resolves the returned slot *immediately* with a
-        ``queue_full`` rejection — typed backpressure, not an
-        exception, so socket front-ends answer it like any response.
+        A target outside the universe, or a full queue, resolves the
+        returned slot *immediately* with a typed rejection
+        (``bad_request`` / ``queue_full``) — not an exception, so socket
+        front-ends answer it like any response.
         """
         pending = PendingResult(request=request)
-        epoch_key = EPOCH_ANY if request.epoch is None else request.epoch
-        if self.queue.offer(pending, epoch_key):
-            if self.telemetry is not None:
-                pending.admitted_at = self.telemetry.admitted(self.queue.depth())
-            if events.enabled():
-                events.emit(events.RequestAdmitted(queue_depth=self.queue.depth()))
-        else:
-            self._bump(f"rejected.{REJECT_QUEUE_FULL}")
-            if self.telemetry is not None:
-                self.telemetry.admission_rejected(REJECT_QUEUE_FULL)
-            if events.enabled():
-                events.emit(events.RequestRejected(code=REJECT_QUEUE_FULL))
-            pending.resolve(
-                SelectResponse(
-                    request_id=request.request_id,
-                    status="rejected",
-                    epoch=self.state.epoch,
-                    code=REJECT_QUEUE_FULL,
-                    detail=(
-                        f"admission queue at capacity "
-                        f"({self.queue.max_depth}); retry later"
-                    ),
-                )
+        if request.target not in self.state.current().universe:
+            return self._refuse(
+                pending,
+                REJECT_BAD_REQUEST,
+                f"target {request.target!r} is not a token of the universe",
             )
+        epoch_key = EPOCH_ANY if request.epoch is None else request.epoch
+        if not self.queue.offer(pending, epoch_key):
+            return self._refuse(
+                pending,
+                REJECT_QUEUE_FULL,
+                f"admission queue at capacity ({self.queue.max_depth}); retry later",
+            )
+        if self.telemetry is not None:
+            pending.admitted_at = self.telemetry.admitted(self.queue.depth())
+        if events.enabled():
+            events.emit(events.RequestAdmitted(queue_depth=self.queue.depth()))
+        return pending
+
+    def _refuse(self, pending: PendingResult, code: str, detail: str) -> PendingResult:
+        """Resolve ``pending`` with an admission rejection ``code``."""
+        self._bump(f"rejected.{code}")
+        if self.telemetry is not None:
+            self.telemetry.admission_rejected(code)
+        if events.enabled():
+            events.emit(events.RequestRejected(code=code))
+        pending.resolve(
+            SelectResponse(
+                request_id=pending.request.request_id,
+                status="rejected",
+                epoch=self.state.epoch,
+                code=code,
+                detail=detail,
+            )
+        )
         return pending
 
     def submit_wait(
@@ -672,9 +685,12 @@ class SelectionService:
                 batch_size=len(batch),
                 warm_cache=warm,
             )
+        # The decomposition is handed over unbuilt: only the degraded
+        # rungs read it, so a select the exact rung serves never builds
+        # one, and commits have none to extend.
         outcome = ladder_select(
             instance,
-            modules=view.module_universe(),
+            modules=view.module_universe,
             time_budget=budget,
             max_mixins=request.max_mixins,
             rng=random.Random(request.seed),

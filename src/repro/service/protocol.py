@@ -51,6 +51,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
+from ..resilience.faults import FaultPlan
+
 __all__ = [
     "PROTOCOL_VERSION",
     "KNOWN_OPS",
@@ -112,6 +114,18 @@ def finite_float(value: Any, name: str) -> float:
     return number
 
 
+def _check_fault_plan(document: Any) -> None:
+    """Refuse a ``fault_plan`` that is not a fault-plan document."""
+    if not isinstance(document, Mapping):
+        raise ProtocolError(
+            f"fault_plan must be a fault-plan object, got {type(document).__name__}"
+        )
+    try:
+        FaultPlan.from_dict(document)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ProtocolError(f"malformed fault_plan: {exc}") from exc
+
+
 @dataclass(frozen=True, slots=True)
 class SelectRequest:
     """One mixin-selection request.
@@ -133,6 +147,12 @@ class SelectRequest:
             document applied around *this request only* — a fresh plan
             instance per request, so one chaos request cannot poison
             its batch-mates.
+
+    A request the solver could never run is refused at construction
+    with :class:`ProtocolError` (answered ``bad_request``): a ``c``
+    that is not a finite number > 0, an ``ell`` below 1, and a
+    ``fault_plan`` that :meth:`FaultPlan.from_dict
+    <repro.resilience.faults.FaultPlan.from_dict>` rejects.
     """
 
     request_id: str
@@ -153,6 +173,12 @@ class SelectRequest:
             )
         if not self.request_id:
             raise ProtocolError("request_id must be non-empty")
+        if not (math.isfinite(self.c) and self.c > 0):
+            raise ProtocolError(f"c must be a finite number > 0, got {self.c!r}")
+        if self.ell < 1:
+            raise ProtocolError(f"ell must be >= 1, got {self.ell!r}")
+        if self.fault_plan is not None:
+            _check_fault_plan(self.fault_plan)
 
     def to_dict(self) -> dict:
         payload: dict[str, Any] = {

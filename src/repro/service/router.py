@@ -24,9 +24,8 @@ Routing and equivalence
 * ``submit`` routes a request to ``partition.batch_of(target) % shards``
   and enqueues it on that shard's admission sub-queue (bounded, typed
   ``queue_full`` backpressure, identical detail text to the single
-  daemon).  A target outside the universe routes to shard 0, whose
-  worker raises the same ``KeyError`` the single partitioned service
-  would — the error response is byte-identical.
+  daemon).  A target outside the universe is refused ``bad_request``
+  at submission, byte-identical to the single daemon's refusal.
 * Each shard's dispatcher thread drains its sub-queue with the same
   micro-batching policy the daemon uses
   (:class:`~repro.service.batching.AdmissionQueue`) and ships whole
@@ -93,6 +92,7 @@ from .journal import Journal, metrics_lines
 from .partition import TokenPartition
 from .protocol import (
     ERROR_INTERNAL,
+    REJECT_BAD_REQUEST,
     REJECT_QUEUE_FULL,
     SelectRequest,
     SelectResponse,
@@ -359,45 +359,51 @@ class ShardRouter:
 
     # -- submission ----------------------------------------------------------
 
-    def _route(self, target: str) -> _Shard:
-        try:
-            batch = self.partition.batch_of(target)
-        except KeyError:
-            # Unknown target: let a worker raise the identical KeyError
-            # the single partitioned service would (internal_error
-            # response, same detail) instead of inventing a router-side
-            # error shape.
-            batch = 0
-        return self._shards[batch % self.shards]
-
     def submit(self, request: SelectRequest) -> PendingResult:
-        """Admit ``request`` on its target's shard (non-blocking)."""
-        shard = self._route(request.target)
+        """Admit ``request`` on its target's shard (non-blocking).
+
+        A target outside the universe is refused ``bad_request`` here,
+        as the single daemon refuses it, without reaching a shard.
+        """
         pending = PendingResult(request=request)
-        epoch_key = EPOCH_ANY if request.epoch is None else request.epoch
-        if shard.queue.offer(pending, epoch_key):
-            if self.telemetry is not None:
-                pending.admitted_at = self.telemetry.admitted(self.queue_depth())
-            if events.enabled():
-                events.emit(events.RequestAdmitted(queue_depth=self.queue_depth()))
-        else:
-            self._bump(f"rejected.{REJECT_QUEUE_FULL}")
-            if self.telemetry is not None:
-                self.telemetry.admission_rejected(REJECT_QUEUE_FULL)
-            if events.enabled():
-                events.emit(events.RequestRejected(code=REJECT_QUEUE_FULL))
-            pending.resolve(
-                SelectResponse(
-                    request_id=request.request_id,
-                    status="rejected",
-                    epoch=self.state.epoch,
-                    code=REJECT_QUEUE_FULL,
-                    detail=(
-                        f"admission queue at capacity "
-                        f"({shard.queue.max_depth}); retry later"
-                    ),
-                )
+        try:
+            batch = self.partition.batch_of(request.target)
+        except KeyError:
+            return self._refuse(
+                pending,
+                REJECT_BAD_REQUEST,
+                f"target {request.target!r} is not a token of the universe",
             )
+        shard = self._shards[batch % self.shards]
+        epoch_key = EPOCH_ANY if request.epoch is None else request.epoch
+        if not shard.queue.offer(pending, epoch_key):
+            return self._refuse(
+                pending,
+                REJECT_QUEUE_FULL,
+                f"admission queue at capacity ({shard.queue.max_depth}); retry later",
+            )
+        if self.telemetry is not None:
+            pending.admitted_at = self.telemetry.admitted(self.queue_depth())
+        if events.enabled():
+            events.emit(events.RequestAdmitted(queue_depth=self.queue_depth()))
+        return pending
+
+    def _refuse(self, pending: PendingResult, code: str, detail: str) -> PendingResult:
+        """Resolve ``pending`` with an admission rejection ``code``."""
+        self._bump(f"rejected.{code}")
+        if self.telemetry is not None:
+            self.telemetry.admission_rejected(code)
+        if events.enabled():
+            events.emit(events.RequestRejected(code=code))
+        pending.resolve(
+            SelectResponse(
+                request_id=pending.request.request_id,
+                status="rejected",
+                epoch=self.state.epoch,
+                code=code,
+                detail=detail,
+            )
+        )
         return pending
 
     def submit_wait(

@@ -26,8 +26,9 @@ A malformed line never kills the session: it is answered with a
 ``bad_request`` rejection and the loop continues, so one buggy client
 request cannot take the service down for everyone else.  That
 includes a line longer than :data:`MAX_LINE_BYTES`, which is answered
-once and discarded up to its newline rather than buffered, and, over
-the socket, a line that is not valid UTF-8.
+once and discarded up to its newline rather than buffered, and a line
+that is not valid UTF-8.  A last line that ends at EOF without a
+newline is served like any other.
 
 The ``service`` argument is duck-typed: anything with the
 :class:`~repro.service.daemon.SelectionService` front-end surface —
@@ -235,13 +236,21 @@ def serve_stdio(service, in_stream: IO[str], out_stream: IO[str]) -> int:
     per line, in request order; requests are admitted as they arrive
     (see :class:`_Session`), so a burst of selects micro-batches.  A
     line longer than :data:`MAX_LINE_BYTES` is answered ``bad_request``
-    once and skipped (see :func:`_stream_lines`).
+    once and skipped (see :func:`_stream_lines`), and so is a line that
+    is not valid UTF-8: a stream with ``reconfigure`` is switched to
+    the ``surrogateescape`` error handler so its bad bytes reach the
+    check instead of raising out of the read.
     """
 
     def write_line(text: str) -> None:
         out_stream.write(text + "\n")
         out_stream.flush()
 
+    reconfigure = getattr(in_stream, "reconfigure", None)
+    if reconfigure is not None:
+        # Undecodable bytes become lone surrogates instead of raising
+        # out of readline, so the line they sit in can be answered.
+        reconfigure(errors="surrogateescape")
     session = _Session(service, write_line)
     writer = threading.Thread(
         target=session.write_loop, name="repro-stdio-writer", daemon=True
@@ -250,11 +259,22 @@ def serve_stdio(service, in_stream: IO[str], out_stream: IO[str]) -> int:
     for line in _stream_lines(in_stream):
         if line is None:
             session.reject(f"request line longer than {MAX_LINE_BYTES} characters")
+        elif not (line.isascii() or _encodes(line)):
+            session.reject("request line is not valid UTF-8")
         elif not session.feed(line):
             break
     session.finish()
     writer.join()
     return session.served
+
+
+def _encodes(line: str) -> bool:
+    """Is ``line`` valid UTF-8 text (no lone surrogates)?"""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def _stream_lines(stream: IO[str]) -> Iterator[str | None]:
@@ -278,7 +298,8 @@ def _connection_lines(sock: socket.socket) -> Iterator[bytes | None]:
 
     A line longer than :data:`MAX_LINE_BYTES` is yielded once as
     ``None`` and discarded up to its newline, so the reader holds at
-    most that much of any line.
+    most that much of any line.  A last line the peer ends with EOF
+    instead of a newline is yielded too.
     """
     pending = b""  # the current line's bytes so far
     skipping = False  # inside an over-long line already yielded
@@ -295,6 +316,8 @@ def _connection_lines(sock: socket.socket) -> Iterator[bytes | None]:
             if len(pending) > MAX_LINE_BYTES:
                 yield None
                 pending, skipping = b"", True
+    if pending:  # the peer closed after a last line with no newline
+        yield pending
 
 
 def serve_socket(

@@ -135,3 +135,44 @@ class TestSelectCommand:
                      "--fault-plan", str(plan_path), "--metrics"]) == 0
         out = capsys.readouterr().out
         assert "resilience.faults" in out
+
+
+SERVE_IMPORTS = """
+import json, sys
+before = set(sys.modules)
+from repro import cli
+code = cli.main(["serve"])
+added = sorted(set(sys.modules) - before)
+import repro
+report = {"code": code, "added": added, "version": repro.__version__,
+          "other": hasattr(repro, "no_such_attribute")}
+print(json.dumps(report))
+"""
+
+
+def test_serve_imports_only_what_it_serves():
+    # A daemon start paid for the figure harness (and the dataset
+    # generators it pulls in) and for importlib.metadata, which the
+    # package read at import for a __version__ nothing serving uses.
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", SERVE_IMPORTS],
+        input="", capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["code"] == 0
+    added = report["added"]
+    assert "repro.service.daemon" in added
+    assert not [m for m in added if m.startswith(("repro.experiments", "repro.data"))]
+    assert "importlib.metadata" not in added
+    # __version__ still resolves, on first access.
+    assert isinstance(report["version"], str) and report["version"]
+    assert report["other"] is False

@@ -6,7 +6,7 @@ fails first — its own HT multiset, then non-elimination over the
 closure, then the DTRS sweep — or is ``feasible`` exactly when the seed
 accepts the candidate.  So ``bfs_select``, and the per-candidate event
 stream it emits, must match the seed solver.  These tests pin that
-contract, the factorized ``extend_one`` against the closure's world
+contract, the factorized ``slices_of`` against the closure's world
 set enumerated from its rings, and the deadline-abort path.
 
 Tests of the kernel carry its backend's name, ``python`` (big-int
@@ -129,9 +129,10 @@ class TestExtendBatch:
             frozenset(rng.sample(tokens, rng.randint(1, 4))) for _ in range(8)
         ]
         for cand_tokens in candidates:
-            extension = state.extend_one(cand_tokens)
+            slices, _ = state.slices_of(cand_tokens)
+            count = sum(free.bit_count() for free in slices.values())
             candidate = make_ring("r_tau", cand_tokens, seq=99)
-            assert extension.count == len(WorldSet(worlds.rings + [candidate])), (
+            assert count == len(WorldSet(worlds.rings + [candidate])), (
                 f"extension count diverged for {sorted(cand_tokens)}"
             )
 

@@ -35,21 +35,19 @@ from tests.test_perf_kernels import reference_gate
 def sweep_verdict(state, universe, tokens, c, ell) -> str:
     """The verdict of the elimination checks and the recursive sweep
     alone, with no flat pass before the sweep."""
-    extension = state.extend_one(tokens)
-    eliminated = not all(extension.slices.values()) or any(
-        not row.token_masks.get(name, 0) & extension.union
+    slices, union = state.slices_of(tokens)
+    eliminated = not all(slices.values()) or any(
+        not row.token_masks.get(name, 0) & union
         for row in state.rows
         for name in row.ring.tokens
     )
     if eliminated:
         return "eliminated"
     groups: dict[str, int] = {}
-    for name, free in extension.slices.items():
+    for name, free in slices.items():
         ht = universe.ht_of(name)
         groups[ht] = groups.get(ht, 0) | free
-    return state._sweep(
-        universe, extension.slices, extension.union, groups, c, ell, None
-    )
+    return state._sweep(universe, slices, union, groups, c, ell, None)
 
 
 def random_case(seed: int, c: float, ell: int) -> DamsInstance:

@@ -584,32 +584,99 @@ FUZZ_KEYS = [
 ]
 
 
+def hostile_line(rng: random.Random, request_id: str = '"q"') -> str:
+    """Each op's valid line with up to four protocol keys set to hostile
+    values, a tenth of the lines cut short."""
+    op = rng.choice([*OP_FIELDS, "teleport", None])
+    fields = {} if op is None else {"op": f'"{op}"', "id": request_id, **OP_FIELDS.get(op, {})}
+    for key in rng.sample(FUZZ_KEYS, rng.randint(0, 4)):
+        fields[key] = rng.choice(FUZZ_VALUES)
+    line = raw_line(**fields)
+    if rng.random() < 0.1:
+        line = line[: rng.randrange(len(line))]
+    return line
+
+
 def test_fuzzed_request_lines_each_get_one_json_reply():
-    # Each op's valid line with up to four protocol keys set to hostile
-    # values, a tenth of the lines cut short: every line gets exactly
-    # one reply, and the reply is a JSON object with a status that a
-    # strict parser reads.
+    # Every line gets exactly one reply, and the reply is a JSON object
+    # with a status that a strict parser reads, never internal_error.
     rng = random.Random(24)
     statuses = Counter()
     with SelectionService(
         small_universe(), history(), ServiceConfig(default_budget=0.05)
     ) as service:
         for _ in range(2000):
-            op = rng.choice([*OP_FIELDS, "teleport", None])
-            fields = {} if op is None else {"op": f'"{op}"', "id": '"q"', **OP_FIELDS.get(op, {})}
-            for key in rng.sample(FUZZ_KEYS, rng.randint(0, 4)):
-                fields[key] = rng.choice(FUZZ_VALUES)
-            line = raw_line(**fields)
-            if rng.random() < 0.1:
-                line = line[: rng.randrange(len(line))]
+            line = hostile_line(rng)
             reply, _ = handle_line(service, line)
             assert "\n" not in reply
             payload = strict_json(reply)
             assert isinstance(payload, dict) and "status" in payload, reply
+            assert payload.get("code") != "internal_error", (line, reply)
             statuses[payload["status"]] += 1
     assert service.epoch > 0, "some fuzzed commits must apply"
     assert statuses["ok"] > 100 and statuses["rejected"] > 100, statuses
     assert statuses["error"] > 0, statuses
+
+
+SELECT_FIELDS = {"op": '"select"', "id": '"q"', **OP_FIELDS["select"]}
+
+
+@pytest.mark.parametrize(
+    "plan",
+    ['"chaos"', "[]", "7", "{}", '{"faults":7}', '{"version":1,"faults":[7]}',
+     '{"version":1,"faults":[{"site":"bfs.candidate","action":"explode"}]}',
+     '{"version":1,"faults":[{"site":"bfs.candidate","action":"error","max_fires":"x"}]}',
+     '{"version":1,"faults":[{"site":"bfs.candidate","action":"error","at_hit":1.5}]}',
+     '{"version":1,"faults":[{"site":"bfs.candidate","action":"error","at_index":[0]}]}',
+     '{"version":1,"faults":[{"site":"bfs.candidate","action":"error","on_attempt":null}]}',
+     '{"version":1,"faults":[{"site":"bfs.candidate","action":"error","probability":"x"}]}',
+     '{"version":1,"faults":[{"site":7,"action":"error"}]}',
+     '{"version":1,"faults":[{"site":"bfs.candidate","action":"delay","payload":1e300}]}'],
+)
+def test_select_with_a_malformed_fault_plan_is_a_bad_request(plan):
+    # The worker built the plan per request, so a document FaultPlan
+    # cannot read was admitted and answered internal_error; so was a
+    # spec whose trigger fields are not integers (the first check
+    # compared them) or whose delay overflows time.sleep.
+    with SelectionService(small_universe(), history()) as service:
+        reply, keep_going = handle_line(
+            service, raw_line(**SELECT_FIELDS, fault_plan=plan)
+        )
+    payload = strict_json(reply)
+    assert keep_going
+    assert (payload["status"], payload["code"]) == ("rejected", "bad_request")
+    assert "fault_plan" in payload["detail"]
+    assert service.counters.get("requests", 0) == 0
+
+
+@pytest.mark.parametrize(
+    "override",
+    [{"c": "0"}, {"c": "-1"}, {"c": "-0.0"}, {"ell": "0"}, {"ell": "-2"}],
+    ids=lambda override: "-".join(f"{k}={v}" for k, v in override.items()),
+)
+def test_select_with_an_invalid_requirement_is_a_bad_request(override):
+    # A c <= 0 or an ell < 1 was admitted, and the solve's DamsInstance
+    # raised ValueError, answered internal_error.
+    with SelectionService(small_universe(), history()) as service:
+        reply, _ = handle_line(service, raw_line(**{**SELECT_FIELDS, **override}))
+    payload = strict_json(reply)
+    assert (payload["status"], payload["code"]) == ("rejected", "bad_request")
+    assert service.counters.get("requests", 0) == 0
+
+
+@pytest.mark.parametrize("target", ["x", "t9", "", "\u0000"])
+def test_select_of_a_target_outside_the_universe_is_refused_at_submit(target):
+    # Not started: the refusal must resolve the slot inside submit,
+    # before any worker runs (it was admitted and answered
+    # internal_error by the solve).
+    service = SelectionService(small_universe(), history())
+    pending = service.submit(request("away", target=target))
+    assert pending.done
+    response = pending.wait(0)
+    assert (response.status, response.code) == ("rejected", "bad_request")
+    assert repr(target) in response.detail
+    assert service.counters == {"rejected.bad_request": 1}
+    assert service.queue_depth() == 0
 
 
 @pytest.mark.parametrize("c", [float("nan"), float("inf")])
@@ -741,3 +808,108 @@ def test_stdio_discards_an_over_long_line_with_one_reply():
         send(b"\n" + select_line("after"))
         answered = reply()
         assert (answered["id"], answered["status"]) == ("after", "ok")
+
+
+# -- the front ends end to end -------------------------------------------------
+
+
+def ends_session(line: str) -> bool:
+    """Is ``line`` a ``shutdown`` a front end would act on?"""
+    try:
+        return decode(line).get("op") == "shutdown"
+    except ProtocolError:
+        return False
+
+
+def transport_corpus(seed: int, count: int) -> tuple[list[bytes], list[str]]:
+    """Raw request lines for a front end, and the id each answered line
+    carries when the reply echoes one of ours.
+
+    The hostile corpus of the fuzz test above, each line given its own
+    id and no ``shutdown`` among them, plus what only a transport sees:
+    bytes that are not UTF-8, a line over ``MAX_LINE_BYTES``, CRLF
+    endings and blank lines.  The last line is a ``shutdown`` with no
+    newline after it.  Blank lines
+    get no reply and have no entry in the second list.
+    """
+    rng = random.Random(seed)
+    lines: list[bytes] = []
+    expected: list[str] = []
+    for index in range(count):
+        roll = rng.random()
+        if roll < 0.05:
+            lines.append(rng.choice([b"", b"   ", b"\r", b"\t"]))
+            continue
+        if roll < 0.08:
+            lines.append(rng.choice([b'\xff\xfe{"op":"epoch"}', b'{"op":"epoch","id":"\xc3"}']))
+        elif roll < 0.09:
+            lines.append(b"x" * (MAX_LINE_BYTES + 1))
+        else:
+            line = hostile_line(rng, f'"q{index}"')
+            while ends_session(line):
+                line = hostile_line(rng, f'"q{index}"')
+            lines.append(line.encode() + (b"\r" if rng.random() < 0.2 else b""))
+            if not line.strip():  # cut short to nothing
+                continue
+        expected.append(f"q{index}")
+    lines.append(b'{"op":"shutdown","id":"end"}')
+    expected.append("end")
+    return lines, expected
+
+
+def check_transport_replies(replies: list[str], expected: list[str]) -> Counter:
+    """One strict-JSON reply with a status per non-blank line, in line
+    order, none ``internal_error``, the final shutdown answered."""
+    assert len(replies) == len(expected), (len(replies), len(expected))
+    statuses = Counter()
+    for reply, request_id in zip(replies, expected):
+        payload = strict_json(reply)
+        assert isinstance(payload, dict) and "status" in payload, reply
+        assert payload.get("code") != "internal_error", reply
+        echoed = payload.get("id")
+        if isinstance(echoed, str) and echoed.startswith("q") and echoed[1:].isdigit():
+            assert echoed == request_id, (echoed, request_id)
+        statuses[payload["status"]] += 1
+    last = strict_json(replies[-1])
+    assert (last["id"], last["shutdown"]) == ("end", True)
+    assert statuses["ok"] > 20 and statuses["rejected"] > 20, statuses
+    return statuses
+
+
+def test_socket_front_end_answers_the_hostile_corpus(tmp_path):
+    # The unterminated last line was buffered and dropped at EOF, so
+    # the final shutdown went unanswered.
+    lines, expected = transport_corpus(seed=31, count=500)
+    path = str(tmp_path / "s.sock")
+    ready = threading.Event()
+    config = ServiceConfig(default_budget=0.05)
+    with SelectionService(small_universe(), history(), config) as service:
+        server = threading.Thread(
+            target=serve_socket, args=(service, path, ready), daemon=True
+        )
+        server.start()
+        assert ready.wait(5.0)
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as conn:
+            conn.settimeout(60.0)
+            conn.connect(path)
+            conn.sendall(b"\n".join(lines))
+            conn.shutdown(socket.SHUT_WR)
+            with conn.makefile("rb") as stream:
+                replies = [raw.decode("utf-8") for raw in stream]
+        server.join(timeout=10.0)
+        assert not server.is_alive()
+    check_transport_replies(replies, expected)
+
+
+def test_stdio_front_end_answers_the_hostile_corpus():
+    # A strict UTF-8 text stream raised UnicodeDecodeError out of the
+    # read on the first bad byte, which ended the session unanswered.
+    lines, expected = transport_corpus(seed=32, count=500)
+    in_stream = io.TextIOWrapper(io.BytesIO(b"\n".join(lines)), encoding="utf-8")
+    out = io.StringIO()
+    config = ServiceConfig(default_budget=0.05)
+    with SelectionService(small_universe(), history(), config) as service:
+        served = serve_stdio(service, in_stream, out)
+    replies = out.getvalue().splitlines()
+    assert served == len(expected)
+    check_transport_replies(replies, expected)

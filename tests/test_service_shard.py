@@ -187,7 +187,7 @@ def scripted_workload(service) -> list[dict]:
     # Stale pin: epoch 0 is gone after the commit.
     run([SelectRequest(request_id="stale", target=hot[0], c=2.0, ell=2,
                        epoch=0)])
-    # Unknown target: the worker raises the partition KeyError.
+    # Unknown target: refused bad_request at submission.
     run([SelectRequest(request_id="unknown", target="zz", c=2.0, ell=2)])
     service.commit_ring(tokens=part.tokens_of(2)[0:3], c=2.0, ell=2)
     run(
@@ -214,6 +214,21 @@ def test_router_matches_partitioned_single_service():
     assert sharded == baseline
     statuses = {entry["status"] for entry in baseline}
     assert statuses == {"ok", "rejected", "error"}  # all paths exercised
+
+
+def test_router_refuses_a_target_outside_the_universe_at_submit():
+    # Not started, so no shard can answer: the refusal resolves inside
+    # submit, as the single daemon's does (it was routed to shard 0 and
+    # answered internal_error there).
+    router = ShardRouter(shard_universe(), config=RouterConfig(shards=2, batches=4))
+    pending = router.submit(
+        SelectRequest(request_id="away", target="zz", c=2.0, ell=2)
+    )
+    assert pending.done
+    response = pending.wait(0)
+    assert (response.status, response.code) == ("rejected", "bad_request")
+    assert router.counters == {"rejected.bad_request": 1}
+    assert router.queue_depth() == 0
 
 
 def test_submit_many_scatter_preserves_input_order():
